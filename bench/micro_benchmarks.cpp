@@ -1,6 +1,6 @@
 // google-benchmark micro suite: wall-clock throughput of the library's
 // hot substrates — event loop, tram aggregation, reductions, graph
-// generation, sequential SSSP kernels.  These measure the *simulator's*
+// generation, edge sort and CSR build, sequential SSSP kernels.  These measure the *simulator's*
 // real performance (how fast experiments run on the host), complementing
 // the fig*/ablation harnesses which measure *simulated* time.
 
@@ -24,6 +24,22 @@ using runtime::Machine;
 using runtime::Pe;
 using runtime::PeId;
 using runtime::Topology;
+
+/// A scale-16 uniform or RMAT edge list, 16 edges per vertex, in a
+/// seeded random order.
+std::vector<graph::Edge> shuffled_edges(bool rmat) {
+  graph::GenParams params;
+  params.num_vertices = 1u << 16;
+  params.num_edges = 16ull << 16;
+  graph::EdgeList list = rmat ? graph::generate_rmat(params)
+                              : graph::generate_uniform_random(params);
+  std::vector<graph::Edge> edges = std::move(list.edges());
+  util::Xoshiro256 rng(3);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.next_below(i)]);
+  }
+  return edges;
+}
 
 void BM_MachineEventThroughput(benchmark::State& state) {
   const auto events = static_cast<std::uint64_t>(state.range(0));
@@ -157,17 +173,47 @@ void BM_GenerateUniformRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateUniformRandom)->Arg(12)->Arg(14);
 
+// Generator output is source-sorted, so this times the CSR builder's
+// sorted-input path.  Arg = host threads.
 void BM_CsrBuild(benchmark::State& state) {
   graph::GenParams params;
   params.num_vertices = 1u << 13;
   params.num_edges = 1u << 17;
   const auto list = graph::generate_uniform_random(params);
+  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    auto csr = graph::Csr::from_edge_list(list);
+    auto csr = graph::Csr::from_edge_list(list, threads);
     benchmark::DoNotOptimize(csr.num_edges());
   }
 }
-BENCHMARK(BM_CsrBuild);
+BENCHMARK(BM_CsrBuild)->Arg(1)->Arg(4);
+
+// The shared edge sort on a shuffled scale-16 list, 16 edges per vertex.
+// Args = {0 uniform / 1 RMAT, host threads}.
+void BM_EdgeSort(benchmark::State& state) {
+  static const std::vector<graph::Edge> inputs[2] = {
+      shuffled_edges(false), shuffled_edges(true)};
+  const std::vector<graph::Edge>& input = inputs[state.range(0)];
+  const auto threads = static_cast<unsigned>(state.range(1));
+  std::vector<graph::Edge> edges;
+  for (auto _ : state) {
+    state.PauseTiming();
+    edges = input;
+    state.ResumeTiming();
+    graph::sort_edges(edges, threads);
+    benchmark::DoNotOptimize(edges.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(input.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_EdgeSort)
+    ->ArgNames({"rmat", "threads"})
+    ->Args({0, 1})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DijkstraSequential(benchmark::State& state) {
   graph::GenParams params;

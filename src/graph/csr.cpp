@@ -107,11 +107,58 @@ Csr Csr::borrow(const std::size_t* offsets, const Neighbor* neighbors,
 }
 
 Csr Csr::from_edge_list(const EdgeList& list, unsigned threads) {
-  ACIC_ASSERT_MSG(list.endpoints_in_range(),
-                  "edge endpoints must be < num_vertices");
   const VertexId n = list.num_vertices();
+  const std::span<const Edge> edges = list.edges();
+  const std::size_t num_edge_blocks = (edges.size() + kBlock - 1) / kBlock;
+
+  // One parallel scan checks the endpoints and whether the list is
+  // already in edge_less order.
+  std::vector<std::uint8_t> block_in_range(num_edge_blocks);
+  std::vector<std::uint8_t> block_sorted(num_edge_blocks);
+  util::parallel_for(num_edge_blocks, threads, [&](std::uint64_t b) {
+    const std::size_t first = b * kBlock;
+    const std::size_t last = std::min(first + kBlock, edges.size());
+    bool in_range = true;
+    bool sorted = first == 0 || !edge_less(edges[first], edges[first - 1]);
+    for (std::size_t i = first; i < last; ++i) {
+      in_range &= edges[i].src < n && edges[i].dst < n;
+      if (i > first) sorted &= !edge_less(edges[i], edges[i - 1]);
+    }
+    block_in_range[b] = in_range;
+    block_sorted[b] = sorted;
+  });
+  const auto all = [](const std::vector<std::uint8_t>& flags) {
+    return std::ranges::all_of(flags, [](std::uint8_t f) { return f; });
+  };
+  ACIC_ASSERT_MSG(all(block_in_range),
+                  "edge endpoints must be < num_vertices");
+
   std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<Neighbor> neighbors;
+
+  if (all(block_sorted)) {
+    // Sorted input is already the CSR read row by row: row v starts at
+    // the first edge whose src is >= v.  Edge i sets the offsets of the
+    // sources in (src of edge i - 1, src of edge i], so every slot of
+    // both arrays is written by exactly one block.
+    neighbors.resize(edges.size());
+    util::parallel_for(num_edge_blocks, threads, [&](std::uint64_t b) {
+      const std::size_t first = b * kBlock;
+      const std::size_t last = std::min(first + kBlock, edges.size());
+      for (std::size_t i = first; i < last; ++i) {
+        const std::size_t row_lo =
+            i == 0 ? 0 : std::size_t{edges[i - 1].src} + 1;
+        for (std::size_t v = row_lo; v <= edges[i].src; ++v) offsets[v] = i;
+        neighbors[i] = Neighbor{edges[i].dst, edges[i].weight};
+      }
+    });
+    const std::size_t tail =
+        edges.empty() ? 0 : std::size_t{edges.back().src} + 1;
+    std::fill(offsets.begin() + tail, offsets.end(), edges.size());
+    Csr csr;
+    csr.adopt(std::move(offsets), std::move(neighbors));
+    return csr;
+  }
 
   if (threads <= 1) {
     for (const Edge& e : list.edges()) {
@@ -144,8 +191,6 @@ Csr Csr::from_edge_list(const EdgeList& list, unsigned threads) {
   // sort below restores a canonical order — duplicates that tie on both
   // fields are identical values — so the CSR matches the serial build
   // byte for byte.
-  const std::span<const Edge> edges = list.edges();
-  const std::size_t num_edge_blocks = (edges.size() + kBlock - 1) / kBlock;
   std::unique_ptr<std::atomic<std::size_t>[]> cursor(
       new std::atomic<std::size_t>[n]());
   util::parallel_for(num_edge_blocks, threads, [&](std::uint64_t b) {

@@ -33,11 +33,14 @@ class Csr {
   Csr(Csr&& other) noexcept;
   Csr& operator=(Csr&& other) noexcept;
 
-  /// Builds CSR from an edge list by counting sort on the source vertex;
-  /// the input does not need to be pre-sorted.  With threads > 1 the
-  /// count, fill and per-row sorts run on host threads; rows end up
-  /// sorted by (dst, weight) either way, so the CSR is byte-identical to
-  /// the serial build at any thread count.
+  /// Builds CSR from an edge list.  A parallel scan checks whether the
+  /// list is already in edge_less order (as every generator and
+  /// EdgeList::sort_by_source leave it); if so, offsets come from the
+  /// row boundaries and the neighbors are a straight copy.  Otherwise a
+  /// counting sort on the source vertex fills the rows and each row is
+  /// sorted by (dst, weight).  With threads > 1 the passes run on host
+  /// threads; either way the CSR is byte-identical to the serial build
+  /// at any thread count.
   static Csr from_edge_list(const EdgeList& list, unsigned threads = 1);
 
   /// Returns the graph relabeled by `perm` (perm[old] = new): new vertex

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "src/util/assert.hpp"
-#include "src/util/parallel.hpp"
 
 namespace acic::graph {
 
@@ -83,12 +82,6 @@ bool write_header_page(std::FILE* f, const CsrFileHeader& h,
   if (std::fwrite(&h, sizeof(h), 1, f) != 1) return false;
   *pos = sizeof(h);
   return pad_to_page(f, pos);
-}
-
-bool edge_less(const Edge& a, const Edge& b) {
-  if (a.src != b.src) return a.src < b.src;
-  if (a.dst != b.dst) return a.dst < b.dst;
-  return a.weight < b.weight;
 }
 
 /// Streams neighbor records through a bounded staging buffer.
@@ -263,35 +256,9 @@ void StreamingCsrWriter::add(std::span<const Edge> edges) {
 bool StreamingCsrWriter::spill_chunk() {
   if (chunk_.empty()) return true;
 
-  // Sort by (src, dst, weight): the counting-sort-by-src + per-row
-  // (dst, weight) order that Csr::from_edge_list produces.  Sub-ranges
-  // sort on host threads, then a serial merge cascade restores the total
-  // order — ties are byte-identical edges, so the run bytes do not
-  // depend on the thread count.
-  const unsigned t = std::min<unsigned>(
-      options_.threads,
-      static_cast<unsigned>(
-          std::max<std::size_t>(1, chunk_.size() / 1024)));
-  if (t <= 1) {
-    std::sort(chunk_.begin(), chunk_.end(), edge_less);
-  } else {
-    std::vector<std::size_t> bounds(t + 1);
-    for (unsigned i = 0; i <= t; ++i) {
-      bounds[i] = chunk_.size() * i / t;
-    }
-    util::parallel_for(t, t, [&](std::uint64_t i) {
-      std::sort(chunk_.begin() + bounds[i], chunk_.begin() + bounds[i + 1],
-                edge_less);
-    });
-    for (unsigned gap = 1; gap < t; gap *= 2) {
-      for (unsigned i = 0; i + gap <= t; i += 2 * gap) {
-        const unsigned hi = std::min(i + 2 * gap, t);
-        std::inplace_merge(chunk_.begin() + bounds[i],
-                           chunk_.begin() + bounds[i + gap],
-                           chunk_.begin() + bounds[hi], edge_less);
-      }
-    }
-  }
+  // The (src, dst, weight) order Csr::from_edge_list produces; the run
+  // bytes do not depend on the thread count.
+  sort_edges(chunk_, options_.threads);
 
   Run run;
   run.path = options_.tmp_dir + "." + std::to_string(runs_.size());

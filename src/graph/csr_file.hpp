@@ -85,11 +85,11 @@ Csr load_csr_file(const std::string& path);
 /// not parsed early enough for that).
 struct StreamingCsrWriterOptions {
   /// Edges buffered in RAM before a sorted run is spilled (16 bytes
-  /// each; the default buffers 64 MiB).
+  /// each, plus as much again of sort scratch while a chunk is sorted;
+  /// the default buffers 64 MiB).
   std::uint64_t chunk_edges = 1ull << 22;
-  /// Host threads for sorting chunk sub-ranges.  A chunk is split into
-  /// `threads` blocks sorted in parallel and then merged, so the run
-  /// bytes — and the final file — are identical at any thread count.
+  /// Host threads for sorting a chunk with sort_edges; the run bytes —
+  /// and the final file — are identical at any thread count.
   unsigned threads = 1;
   /// Directory for spill runs; empty means alongside `path`.
   std::string tmp_dir;

@@ -3,11 +3,33 @@
 // and consumed by the CSR builder and the text IO layer.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/graph/types.hpp"
 
 namespace acic::graph {
+
+/// The canonical edge order: ascending (src, dst, weight).  It is the
+/// paper's artifact convention ("sorted ascending by origin") and the
+/// order of a CSR's neighbor array read row by row.
+inline bool edge_less(const Edge& a, const Edge& b) {
+  if (a.src != b.src) return a.src < b.src;
+  if (a.dst != b.dst) return a.dst < b.dst;
+  return a.weight < b.weight;
+}
+
+/// Sorts `edges` into edge_less order: the one edge sort behind
+/// EdgeList::sort_by_source and the out-of-core spill runs.  A two-pass
+/// radix sort — fixed-size blocks histogram and scatter the edges into
+/// buckets of consecutive sources sized to fit a core's L2, then each
+/// bucket is counting-sorted by src and every row sorted by
+/// (dst, weight) — on up to `threads` host threads.  The key range is
+/// the largest src present, and every pass writes only slots its block
+/// or bucket owns, so the result equals std::sort with edge_less value
+/// for value at any thread count.  Input already in order costs one
+/// parallel scan.
+void sort_edges(std::span<Edge> edges, unsigned threads = 1);
 
 class EdgeList {
  public:
@@ -27,11 +49,9 @@ class EdgeList {
   }
   void reserve(std::size_t n) { edges_.reserve(n); }
 
-  /// Sorts edges by (src, dst, weight); required by the CSR builder and by
-  /// the paper's artifact convention ("sorted ascending by origin").
-  /// With threads > 1, contiguous blocks are sorted on host threads and
-  /// merged; equal keys are identical Edge values, so the result is
-  /// byte-identical to the serial sort.
+  /// Sorts edges by (src, dst, weight) with sort_edges: the paper's
+  /// artifact convention, and the input order that lets the CSR builder
+  /// skip its counting sort.  The result is the same at any thread count.
   void sort_by_source() { sort_by_source(1); }
   void sort_by_source(unsigned threads);
 

@@ -33,8 +33,9 @@ Weight draw_weight(Xoshiro256& rng, const GenParams& p) {
 
 void finalize(EdgeList& list, const GenParams& p) {
   if (p.remove_self_loops) list.remove_self_loops();
-  if (p.remove_duplicates) list.remove_duplicates();
   list.sort_by_source(p.threads);
+  // On the sorted list, remove_duplicates' own sort is a single scan.
+  if (p.remove_duplicates) list.remove_duplicates();
 }
 
 /// Runs `emit(structure_rng, weight_rng, slot)` for every edge slot in

@@ -14,7 +14,9 @@ namespace acic::graph {
 bool write_edge_list_csv(const EdgeList& list, const std::string& path);
 
 /// Reads a CSV edge list.  `num_vertices` of 0 means "infer as
-/// max(endpoint)+1".  Throws std::runtime_error on malformed input.
+/// max(endpoint)+1".  Throws std::runtime_error, naming the line, on a
+/// malformed row, a vertex id that does not fit a VertexId, a negative
+/// or non-finite weight, or a line longer than 254 characters.
 EdgeList read_edge_list_csv(const std::string& path,
                             VertexId num_vertices = 0);
 

@@ -15,12 +15,58 @@
 #include "src/graph/partition.hpp"
 #include "src/graph/partition2d.hpp"
 #include "src/graph/serialize.hpp"
+#include "src/util/rng.hpp"
 
 #include <unistd.h>
 
 namespace {
 
 using namespace acic::graph;
+
+/// A copy of `list` with its edges in a seeded random order.
+EdgeList shuffled_copy(const EdgeList& list, std::uint64_t seed) {
+  EdgeList out = list;
+  acic::util::Xoshiro256 rng(seed);
+  std::vector<Edge>& edges = out.edges();
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.next_below(i)]);
+  }
+  return out;
+}
+
+/// Sorts `edges` with sort_edges at 1, 2 and 4 threads and checks each
+/// result against std::sort with edge_less, field by field (Edge has
+/// padding bytes, so no memcmp).
+void expect_sort_matches_std_sort(const std::vector<Edge>& edges) {
+  std::vector<Edge> reference = edges;
+  std::sort(reference.begin(), reference.end(), edge_less);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::vector<Edge> sorted = edges;
+    sort_edges(sorted, threads);
+    ASSERT_EQ(sorted.size(), reference.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      ASSERT_EQ(sorted[i].src, reference[i].src) << "edge " << i;
+      ASSERT_EQ(sorted[i].dst, reference[i].dst) << "edge " << i;
+      ASSERT_EQ(sorted[i].weight, reference[i].weight) << "edge " << i;
+    }
+  }
+}
+
+/// `count` edges with endpoints below `num_vertices`; weights are drawn
+/// from `num_weights` distinct values, so small counts force ties.
+std::vector<Edge> random_edges(std::size_t count, std::uint64_t num_vertices,
+                               std::uint64_t num_weights,
+                               std::uint64_t seed) {
+  acic::util::Xoshiro256 rng(seed);
+  std::vector<Edge> edges(count);
+  for (Edge& e : edges) {
+    e = Edge{static_cast<VertexId>(rng.next_below(num_vertices)),
+             static_cast<VertexId>(rng.next_below(num_vertices)),
+             static_cast<Weight>(rng.next_below(num_weights)) * 0.5};
+  }
+  return edges;
+}
 
 TEST(EdgeList, SortBySourceOrders) {
   EdgeList list(4, {});
@@ -62,6 +108,61 @@ TEST(EdgeList, EndpointRangeCheck) {
   EXPECT_FALSE(list.endpoints_in_range());
 }
 
+TEST(GraphBuild, EdgeSortMatchesStdSort) {
+  {
+    SCOPED_TRACE("rmat scale 12, hub rows, several buckets");
+    GenParams params;
+    params.num_vertices = 1u << 12;
+    params.num_edges = 64ull << 12;
+    params.seed = 3;
+    expect_sort_matches_std_sort(
+        shuffled_copy(generate_rmat(params), 4).edges());
+  }
+  {
+    SCOPED_TRACE("exact duplicates");
+    std::vector<Edge> edges = random_edges(5000, 64, 8, 5);
+    const std::vector<Edge> copy = edges;
+    edges.insert(edges.end(), copy.begin(), copy.end());
+    edges.insert(edges.end(), copy.begin(), copy.begin() + 700);
+    expect_sort_matches_std_sort(edges);
+  }
+  {
+    SCOPED_TRACE("equal (src, dst), different weights");
+    expect_sort_matches_std_sort(random_edges(20000, 4, 1000, 6));
+  }
+  {
+    SCOPED_TRACE("|V| = 1");
+    expect_sort_matches_std_sort(random_edges(3000, 1, 50, 7));
+  }
+  {
+    SCOPED_TRACE("|V| = 5, fewer vertices than buckets");
+    expect_sort_matches_std_sort(random_edges(std::size_t{1} << 19, 5,
+                                              1u << 20, 8));
+  }
+  {
+    SCOPED_TRACE("|V| = 2^12 + 3");
+    expect_sort_matches_std_sort(
+        random_edges(100000, (1u << 12) + 3, 1u << 20, 9));
+  }
+  {
+    SCOPED_TRACE("sources spread over 2^31, sparse buckets");
+    expect_sort_matches_std_sort(random_edges(70000, 1u << 31, 100, 10));
+  }
+  {
+    SCOPED_TRACE("empty and single-edge lists");
+    expect_sort_matches_std_sort({});
+    expect_sort_matches_std_sort({Edge{3, 1, 2.5}});
+  }
+  {
+    SCOPED_TRACE("num_vertices far above the largest src");
+    EdgeList list(VertexId{1} << 30, random_edges(4000, 50, 10, 11));
+    std::vector<Edge> reference = list.edges();
+    std::sort(reference.begin(), reference.end(), edge_less);
+    list.sort_by_source(4);
+    EXPECT_EQ(list.edges(), reference);
+  }
+}
+
 TEST(Csr, BuildsOffsetsAndNeighbors) {
   EdgeList list(4, {});
   list.add(0, 1, 1.0);
@@ -100,6 +201,26 @@ TEST(Csr, UnsortedInputProducesSameCsr) {
   const Csr csr_b = Csr::from_edge_list(b);
   EXPECT_TRUE(std::ranges::equal(csr_a.offsets(), csr_b.offsets()));
   EXPECT_TRUE(std::ranges::equal(csr_a.neighbors(), csr_b.neighbors()));
+
+  // A source-sorted RMAT list takes the sorted-input path, a shuffled
+  // copy the counting-sort path; both must give the same CSR.
+  GenParams params;
+  params.num_vertices = 1u << 12;
+  params.num_edges = (1ull << 16) + 77;
+  params.seed = 5;
+  const EdgeList sorted = generate_rmat(params);
+  const EdgeList shuffled = shuffled_copy(sorted, 9);
+  ASSERT_NE(sorted.edges(), shuffled.edges());
+  const Csr reference = Csr::from_edge_list(sorted, 1);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    for (const EdgeList* input : {&sorted, &shuffled}) {
+      const Csr csr = Csr::from_edge_list(*input, threads);
+      EXPECT_TRUE(std::ranges::equal(reference.offsets(), csr.offsets()));
+      EXPECT_TRUE(
+          std::ranges::equal(reference.neighbors(), csr.neighbors()));
+    }
+  }
 }
 
 TEST(Csr, EdgesInRange) {
@@ -281,6 +402,51 @@ TEST(Io, MalformedInputThrows) {
   std::remove(path.c_str());
   EXPECT_THROW(read_edge_list_csv("/nonexistent/file.csv"),
                std::runtime_error);
+}
+
+/// Writes `text` to a temporary CSV and returns the message of the
+/// runtime_error read_edge_list_csv throws on it ("" if none).
+std::string csv_error(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/acic_io_reject.csv";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+  std::string message;
+  try {
+    read_edge_list_csv(path);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  std::remove(path.c_str());
+  return message;
+}
+
+TEST(Io, VertexIdBeyond32BitsThrows) {
+  const std::string message = csv_error("0,1,1\n4294967296,1,1\n");
+  EXPECT_NE(message.find("32 bits"), std::string::npos) << message;
+  EXPECT_NE(message.find(":2"), std::string::npos) << message;
+  EXPECT_NE(csv_error("0,4294967295,1\n").find(":1"), std::string::npos);
+  EXPECT_EQ(csv_error("0,4294967294,1\n"), "");
+}
+
+TEST(Io, NegativeOrNanWeightThrows) {
+  for (const char* text : {"0,1,2\n1,2,-0.5\n", "0,1,2\n1,2,nan\n",
+                           "0,1,2\n1 2 -3\n", "0,1,2\n1,2,inf\n"}) {
+    SCOPED_TRACE(text);
+    const std::string message = csv_error(text);
+    EXPECT_NE(message.find("weight"), std::string::npos) << message;
+    EXPECT_NE(message.find(":2"), std::string::npos) << message;
+  }
+  EXPECT_EQ(csv_error("0,1,0\n"), "");
+}
+
+TEST(Io, OverlongLineThrows) {
+  // Without the check, the tail "7,8,1" would parse as a second edge.
+  const std::string text =
+      "0,1," + std::string(300, '0') + "1,7,8,1\n";
+  const std::string message = csv_error("2,3,1\n" + text);
+  EXPECT_NE(message.find("longer"), std::string::npos) << message;
+  EXPECT_NE(message.find(":2"), std::string::npos) << message;
 }
 
 TEST(Partition1D, BlockCoversAllVerticesContiguously) {
