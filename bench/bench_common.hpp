@@ -4,10 +4,16 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/export.hpp"
@@ -19,6 +25,22 @@
 #include "src/util/table.hpp"
 
 namespace acic::bench {
+
+/// Parses `tok` as a plain decimal number no larger than `max`: digits
+/// only, no sign, whitespace or suffix.  False on anything else.
+inline bool parse_decimal(const std::string& tok, std::uint64_t max,
+                          std::uint64_t* out) {
+  if (tok.empty()) return false;
+  std::uint64_t value = 0;
+  for (const char c : tok) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
 
 /// Parses a comma-separated list of unsigned integers.  A token that is
 /// not a plain decimal number (e.g. `--nodes=1,x`) is an option error:
@@ -34,19 +56,7 @@ inline std::vector<std::uint32_t> parse_list(const std::string& csv,
         csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
     if (!tok.empty()) {
       std::uint64_t value = 0;
-      bool ok = true;
-      for (const char c : tok) {
-        if (c < '0' || c > '9') {
-          ok = false;
-          break;
-        }
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        if (value > 0xffffffffull) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) {
+      if (!parse_decimal(tok, 0xffffffffull, &value)) {
         std::fprintf(stderr,
                      "option error: --%s: invalid token '%s' in '%s' "
                      "(want comma-separated unsigned integers)\n",
@@ -102,6 +112,73 @@ inline unsigned parse_threads(const std::string& value,
   return list.front();
 }
 
+/// Value of the single unsigned `--option`, or `fallback` when it is
+/// not given.  A value that is not a plain decimal number, exceeds
+/// `max` or is below `min` (e.g. `--trials 0`) exits 2 naming the
+/// option, instead of strtoll's silent 0.
+inline std::uint64_t option_uint(
+    const util::Options& opts, const char* option, std::uint64_t fallback,
+    std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint32_t>::max()) {
+  if (!opts.has(option)) return fallback;
+  const std::string value = opts.get(option, "");
+  std::uint64_t out = 0;
+  if (!parse_decimal(value, max, &out)) {
+    std::fprintf(stderr,
+                 "option error: --%s: invalid value '%s' (want an unsigned "
+                 "integer <= %llu)\n",
+                 option, value.c_str(), static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  if (out < min) {
+    std::fprintf(stderr, "option error: --%s: must be >= %llu (got %s)\n",
+                 option, static_cast<unsigned long long>(min),
+                 value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+/// Value of the single non-negative real `--option`, or `fallback` when
+/// it is not given.  Anything strtod does not consume whole, and
+/// negative or non-finite values, exit 2 naming the option.
+inline double option_nonneg_double(const util::Options& opts,
+                                   const char* option, double fallback) {
+  if (!opts.has(option)) return fallback;
+  const std::string value = opts.get(option, "");
+  char* end = nullptr;
+  const double out = std::strtod(value.c_str(), &end);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+      end != value.c_str() + value.size() || !std::isfinite(out) ||
+      out < 0.0) {
+    std::fprintf(stderr,
+                 "option error: --%s: invalid value '%s' (want a "
+                 "non-negative number)\n",
+                 option, value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+/// Exits 2 naming every command-line key `program` does not accept, so
+/// a typo (`--enigne-mode`) or a removed option fails instead of
+/// silently running the default sweep.  ACIC_* environment defaults are
+/// not checked: every binary shares them.
+inline void reject_unknown_options(
+    const util::Options& opts, std::initializer_list<std::string_view> accepted,
+    const char* program) {
+  std::string unknown;
+  for (const std::string& key : opts.keys()) {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      unknown += " --" + key;
+    }
+  }
+  if (unknown.empty()) return;
+  std::fprintf(stderr, "%s: unknown option(s):%s\n", program,
+               unknown.c_str());
+  std::exit(2);
+}
+
 inline stats::CompareSpec compare_spec_from_options(
     const util::Options& opts) {
   stats::CompareSpec spec;
@@ -146,8 +223,8 @@ inline void write_csv(const util::Table& table, const util::Options& opts,
 }
 
 /// One divergence between two supposedly identical runs, for the
-/// bit-identity gates (cross-thread, cross-window-mode, cross-engine-mode,
-/// cross-storage, repeat-trial): the simulated-side field that differed
+/// bit-identity gates (cross-thread, cross-window-mode, cross-storage,
+/// repeat-trial): the simulated-side field that differed
 /// and both values, pre-rendered.
 struct FieldDiff {
   const char* field;
@@ -159,8 +236,7 @@ struct FieldDiff {
 /// of a failure knows what was deliberately NOT compared — the
 /// host-side diagnostic fields the comparison excludes (they describe
 /// how the host executed the schedule, not the schedule itself, and
-/// legitimately vary with threads / window mode / engine mode), then
-/// exits 4.
+/// legitimately vary with threads / window mode), then exits 4.
 [[noreturn]] inline void die_divergence(const std::string& context,
                                         const std::vector<FieldDiff>& diffs) {
   for (const FieldDiff& d : diffs) {
@@ -170,8 +246,7 @@ struct FieldDiff {
   std::fprintf(stderr,
                "bench: host-side diagnostic fields excluded from this "
                "comparison: threads_used, windows, window_merges, "
-               "shard_steals, speculation_rollbacks, speculation_commits, "
-               "speculated_events, replayed_events, checkpoint_bytes\n");
+               "shard_steals\n");
   std::exit(4);
 }
 

@@ -8,7 +8,6 @@
 //   ./build/bench/wallclock --scales 16,18 --trials 3
 //   ./build/bench/wallclock --scale 18 --threads 1,2,4 --trials 3
 //   ./build/bench/wallclock --scale 16 --threads 1,4 --window-mode fixed,adaptive
-//   ./build/bench/wallclock --scale 16 --threads 1,4 --engine-mode conservative,optimistic
 //   ./build/bench/wallclock --scale 16 --reorder identity,degree_desc,bfs
 //   ./build/bench/wallclock --scale 16 --storage mem,mmap
 //   ./build/bench/wallclock --scale 16 --trials 3 --check BENCH_wallclock.json
@@ -42,16 +41,6 @@
 // along per entry; adaptive mode's value shows up as a lower window
 // count at equal checksums.
 //
-// --engine-mode conservative,optimistic sweeps the parallel engine's
-// execution discipline the same way --window-mode sweeps its window
-// policy: the optimistic (Time-Warp-lite) arm speculates past the
-// conservative window with checkpoint/rollback, must commit the
-// bit-identical schedule (exit 4 otherwise), and additionally reports
-// its rollback rate (rollbacks / resolved speculative epochs) and
-// speculation efficiency (fraction of speculated events kept rather
-// than rolled back and re-executed) next to the checkpoint-bytes
-// figure.  Conservative always runs first as the diff reference.
-//
 // COST gate (after "COST of Graph Processing Using Actors"): every
 // config additionally reports `speedup_vs_sequential` against the tuned
 // single-thread `sequential` solver on the same (relabeled) graph, and
@@ -70,7 +59,10 @@
 // inter-node traffic delta is visible per solver × graph × mode.
 //
 // A `pre_pr` object already present in the output file is carried
-// forward, preserving the before/after record the ISSUE asks for.
+// forward, preserving the before/after record of a change.
+//
+// Options are checked strictly: an unknown `--key`, a non-numeric
+// value, zero trials or zero nodes exits 2 naming the option.
 
 #include <algorithm>
 #include <chrono>
@@ -79,6 +71,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -111,18 +104,11 @@ struct Sample {
   std::uint64_t cycles = 0;
   std::uint64_t dist_checksum = 0;
   /// Host-side engine diagnostics — reported, never diffed: the thread
-  /// clamp, window policy, engine mode, and steal schedule legitimately
-  /// vary them.
+  /// clamp, window policy, and steal schedule legitimately vary them.
   unsigned threads_used = 1;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
   std::uint64_t steals = 0;
-  /// Optimistic-engine diagnostics (0 under conservative/serial runs).
-  std::uint64_t spec_rollbacks = 0;
-  std::uint64_t spec_commits = 0;
-  std::uint64_t spec_events = 0;
-  std::uint64_t spec_replayed = 0;
-  std::uint64_t ckpt_bytes = 0;
   /// Distances in *original* labels (inverse-permuted when the run used
   /// a reordered graph) — the cross-mode equality reference.
   std::vector<graph::Dist> dist;
@@ -207,7 +193,6 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
                const graph::Csr& csr, const graph::Remap* remap,
                std::uint32_t trials, unsigned threads,
                runtime::WindowMode wmode,
-               runtime::EngineMode emode = runtime::EngineMode::kConservative,
                graph::ooc::FrontierFeed* feed = nullptr) {
   Sample sample;
   sample.wall_best_s = 1e300;
@@ -218,7 +203,6 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
     machine.set_threads(threads);
     machine.set_window_mode(wmode);
     sssp::SolverOptions opts;
-    opts.engine_mode = emode;
     opts.storage.frontier_feed = feed;
     const auto start = std::chrono::steady_clock::now();
     sssp::SolverRun run =
@@ -244,11 +228,6 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
     now.windows = machine.total_windows();
     now.window_merges = machine.total_window_merges();
     now.steals = machine.total_shard_steals();
-    now.spec_rollbacks = machine.total_speculation_rollbacks();
-    now.spec_commits = machine.total_speculation_commits();
-    now.spec_events = machine.total_speculated_events();
-    now.spec_replayed = machine.total_replayed_events();
-    now.ckpt_bytes = machine.total_checkpoint_bytes();
     std::vector<graph::Dist> dist =
         remap != nullptr ? remap->unmap_distances(run.sssp.dist)
                          : std::move(run.sssp.dist);
@@ -380,18 +359,29 @@ std::vector<std::string> split_csv(const std::string& csv) {
 int main(int argc, char** argv) {
   util::Options opts;
   opts.parse(argc, argv);
+  bench::reject_unknown_options(
+      opts,
+      {"scales", "scale", "trials", "solvers", "out", "threads",
+       "window-mode", "storage", "reorder", "graph", "edge-factor", "seed",
+       "nodes", "check", "check-solver", "max-regress"},
+      "wallclock");
 
   std::vector<std::uint32_t> scales{16};
   if (opts.has("scales")) {
     scales = bench::parse_list(opts.get("scales", ""), "scales");
   } else if (opts.has("scale")) {
-    scales = {static_cast<std::uint32_t>(opts.get_int("scale", 16))};
+    scales = {static_cast<std::uint32_t>(
+        bench::option_uint(opts, "scale", 16))};
   }
   const auto trials =
-      static_cast<std::uint32_t>(opts.get_int("trials", 3));
+      static_cast<std::uint32_t>(bench::option_uint(opts, "trials", 3, 1));
   const std::string solvers_csv =
       opts.get("solvers", "acic,delta_stepping_dist,kla");
   const std::string out_path = opts.get("out", "BENCH_wallclock.json");
+  // Regression-gate tolerance, parsed up front so a bad value fails
+  // before the sweep rather than after it.
+  const double tolerance =
+      bench::option_nonneg_double(opts, "max-regress", 0.25);
   std::vector<unsigned> threads_list{1};
   if (opts.has("threads")) {
     threads_list =
@@ -415,34 +405,6 @@ int main(int argc, char** argv) {
   }
   if (window_modes.empty()) {
     window_modes.push_back(runtime::WindowMode::kAdaptive);
-  }
-
-  // Engine-discipline arms for the multi-threaded runs, mirroring the
-  // window-mode plumbing.  The serial loop ignores the mode, so
-  // 1-thread runs emit one arm.  Conservative always runs (first) when
-  // optimistic is requested: it is the reference every optimistic arm's
-  // simulated fields are diffed against, and it keeps the regression
-  // gate comparing conservative against conservative.
-  std::vector<runtime::EngineMode> engine_modes;
-  for (const std::string& name :
-       split_csv(opts.get("engine-mode", "conservative"))) {
-    if (name == "conservative") {
-      engine_modes.push_back(runtime::EngineMode::kConservative);
-    } else if (name == "optimistic") {
-      engine_modes.push_back(runtime::EngineMode::kOptimistic);
-    } else {
-      std::fprintf(stderr, "wallclock: unknown --engine-mode '%s'\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-  if (engine_modes.empty()) {
-    engine_modes.push_back(runtime::EngineMode::kConservative);
-  }
-  if (std::find(engine_modes.begin(), engine_modes.end(),
-                runtime::EngineMode::kConservative) == engine_modes.end()) {
-    engine_modes.insert(engine_modes.begin(),
-                        runtime::EngineMode::kConservative);
   }
 
   // Storage backends.  "mem" is the in-memory Csr the harness always
@@ -491,9 +453,11 @@ int main(int argc, char** argv) {
   stats::ExperimentSpec base;
   base.graph = stats::graph_kind_from_string(opts.get("graph", "random"));
   base.edge_factor =
-      static_cast<std::uint32_t>(opts.get_int("edge-factor", 16));
-  base.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  base.nodes = static_cast<std::uint32_t>(opts.get_int("nodes", 2));
+      static_cast<std::uint32_t>(bench::option_uint(opts, "edge-factor", 16));
+  base.seed = bench::option_uint(opts, "seed", 1, 0,
+                                 std::numeric_limits<std::uint64_t>::max());
+  base.nodes =
+      static_cast<std::uint32_t>(bench::option_uint(opts, "nodes", 2, 1));
 
   const std::string previous = slurp(out_path);
   const std::string pre_pr = extract_object(previous, "pre_pr");
@@ -611,16 +575,8 @@ int main(int argc, char** argv) {
               threads == 1 ? "serial"
               : wmode == runtime::WindowMode::kFixed ? "fixed"
                                                      : "adaptive";
-         for (const runtime::EngineMode emode : engine_modes) {
-          // ... and likewise the engine discipline.
-          if (threads == 1 && emode != engine_modes.front()) continue;
-          const bool optimistic =
-              threads > 1 && emode == runtime::EngineMode::kOptimistic;
-          const char* emode_name = threads == 1 ? "serial"
-                                   : optimistic ? "optimistic"
-                                                : "conservative";
           Sample s = run_one(solver, spec, sweep_csr, remap, trials,
-                             threads, wmode, emode, feed.get());
+                             threads, wmode, feed.get());
           if (!have_reference) {
             reference = std::move(s);
             have_reference = true;
@@ -648,9 +604,8 @@ int main(int argc, char** argv) {
               die_divergence(solver + " reorder=" + mode_name +
                                  " storage=" + storage + " at " +
                                  std::to_string(threads) + " threads (" +
-                                 wmode_name + ", " + emode_name +
-                                 ") vs first thread count/window mode/"
-                                 "engine mode",
+                                 wmode_name +
+                                 ") vs first thread count/window mode",
                              diffs);
             }
             // The mmap arm additionally pins elementwise distance
@@ -670,11 +625,6 @@ int main(int argc, char** argv) {
             reference.windows = s.windows;
             reference.window_merges = s.window_merges;
             reference.steals = s.steals;
-            reference.spec_rollbacks = s.spec_rollbacks;
-            reference.spec_commits = s.spec_commits;
-            reference.spec_events = s.spec_events;
-            reference.spec_replayed = s.spec_replayed;
-            reference.ckpt_bytes = s.ckpt_bytes;
           }
           const Sample& cur = reference;
           if (threads == 1) wall_1thread = cur.wall_best_s;
@@ -698,53 +648,23 @@ int main(int argc, char** argv) {
           const double vs_seq = seq_wall[m] / cur.wall_best_s;
           if (first_beats.empty() && solver != "sequential" && !is_mmap &&
               vs_seq > 1.0) {
-            // Optimistic arms compete in emission order like every other
-            // config, so the verdict can legitimately name one.
             first_beats = solver + " t=" + std::to_string(threads) + " " +
-                          wmode_name +
-                          (threads == 1 ? std::string()
-                                        : " " + std::string(emode_name)) +
-                          " reorder=" + mode_name;
+                          wmode_name + " reorder=" + mode_name;
             first_beats_speedup = vs_seq;
           }
           const double events_per_sec =
               static_cast<double>(cur.events) / cur.wall_best_s;
           const double tasks_per_sec =
               static_cast<double>(cur.tasks) / cur.wall_best_s;
-          // Rollback rate is over resolved speculative epochs; efficiency
-          // is the fraction of speculated events that were kept (not
-          // discarded by a rollback and re-executed conservatively).
-          const std::uint64_t spec_resolved =
-              cur.spec_rollbacks + cur.spec_commits;
-          const double rollback_rate =
-              spec_resolved > 0
-                  ? static_cast<double>(cur.spec_rollbacks) /
-                        static_cast<double>(spec_resolved)
-                  : 0.0;
-          const double spec_efficiency =
-              cur.spec_events > 0
-                  ? static_cast<double>(cur.spec_events - cur.spec_replayed) /
-                        static_cast<double>(cur.spec_events)
-                  : 0.0;
-          char spec_text[96] = "";
-          if (optimistic) {
-            std::snprintf(spec_text, sizeof(spec_text),
-                          "  rollbacks=%llu/%llu  spec_eff=%.2f",
-                          static_cast<unsigned long long>(cur.spec_rollbacks),
-                          static_cast<unsigned long long>(spec_resolved),
-                          spec_efficiency);
-          }
           std::printf(
-              "  %-20s %s%s%s t=%u(eff %u) %-8s wall=%.3fs (best of %u)  "
+              "  %-20s %s%s t=%u(eff %u) %-8s wall=%.3fs (best of %u)  "
               "%.3gM events/s  speedup=%s  vs_seq=%.2f  windows=%llu  "
-              "sim=%.0fus  checksum=%016" PRIx64 "%s\n",
+              "sim=%.0fus  checksum=%016" PRIx64 "\n",
               solver.c_str(), multi_mode ? mode_name : "", storage_tag,
-              engine_modes.size() > 1 ? (optimistic ? "opt  " : "cons ")
-                                      : "",
               threads, cur.threads_used, wmode_name, cur.wall_best_s,
               trials, events_per_sec * 1e-6, speedup_text, vs_seq,
               static_cast<unsigned long long>(cur.windows),
-              cur.sim_time_us, cur.dist_checksum, spec_text);
+              cur.sim_time_us, cur.dist_checksum);
           std::fflush(stdout);
 
           const bench::ResourceUsage rss = bench::resource_usage();
@@ -752,7 +672,7 @@ int main(int argc, char** argv) {
           std::snprintf(
               entry, sizeof(entry),
               "    {\"solver\": \"%s\", \"scale\": %u, \"threads\": %u, "
-              "\"window_mode\": \"%s\", \"engine_mode\": \"%s\", "
+              "\"window_mode\": \"%s\", "
               "\"threads_effective\": %u, "
               "\"reorder\": \"%s\", \"storage\": \"%s\", "
               "\"max_rss_bytes\": %llu, \"major_faults\": %llu, "
@@ -763,13 +683,6 @@ int main(int argc, char** argv) {
               "\"speedup_vs_sequential\": %.3f, "
               "\"windows\": %llu, \"window_merges\": %llu, "
               "\"steals\": %llu, "
-              "\"speculation_rollbacks\": %llu, "
-              "\"speculation_commits\": %llu, "
-              "\"speculated_events\": %llu, "
-              "\"replayed_events\": %llu, "
-              "\"checkpoint_bytes\": %llu, "
-              "\"rollback_rate\": %.4f, "
-              "\"speculation_efficiency\": %.4f, "
               "\"sim_time_us\": %.6f, "
               "\"updates_created\": %llu, \"cycles\": %llu, "
               "\"messages_inter_node\": %llu, "
@@ -779,7 +692,7 @@ int main(int argc, char** argv) {
               "\"messages_intra_process\": %llu, "
               "\"bytes_intra_process\": %llu, "
               "\"dist_checksum\": \"%016" PRIx64 "\"}",
-              solver.c_str(), scale, threads, wmode_name, emode_name,
+              solver.c_str(), scale, threads, wmode_name,
               cur.threads_used, mode_name, storage.c_str(),
               static_cast<unsigned long long>(rss.max_rss_bytes),
               static_cast<unsigned long long>(rss.major_faults),
@@ -792,12 +705,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cur.windows),
               static_cast<unsigned long long>(cur.window_merges),
               static_cast<unsigned long long>(cur.steals),
-              static_cast<unsigned long long>(cur.spec_rollbacks),
-              static_cast<unsigned long long>(cur.spec_commits),
-              static_cast<unsigned long long>(cur.spec_events),
-              static_cast<unsigned long long>(cur.spec_replayed),
-              static_cast<unsigned long long>(cur.ckpt_bytes),
-              rollback_rate, spec_efficiency,
               cur.sim_time_us,
               static_cast<unsigned long long>(cur.updates_created),
               static_cast<unsigned long long>(cur.cycles),
@@ -810,7 +717,6 @@ int main(int argc, char** argv) {
               cur.dist_checksum);
           if (!results.empty()) results += ",\n";
           results += entry;
-         }  // engine modes
          }  // window modes
         }
         }  // storage arms
@@ -885,7 +791,6 @@ int main(int argc, char** argv) {
     const std::string solver = opts.get("check-solver", "acic");
     const std::uint32_t scale = scales.front();
     const unsigned check_threads = threads_list.front();
-    const double tolerance = opts.get_double("max-regress", 0.25);
     const double before =
         find_events_per_sec(baseline, solver, scale, check_threads);
     const double after =

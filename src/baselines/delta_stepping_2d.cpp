@@ -10,7 +10,6 @@
 
 #include "src/baselines/sequential.hpp"
 #include "src/runtime/collectives.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/sssp/update.hpp"
 #include "src/util/assert.hpp"
 
@@ -71,7 +70,7 @@ struct PeState {
   bool done = false;
 };
 
-class Delta2DEngine : public runtime::Snapshotable {
+class Delta2DEngine {
  public:
   Delta2DEngine(runtime::Machine& machine, const graph::Csr& csr,
                 const graph::Partition2D& partition, VertexId source,
@@ -102,8 +101,6 @@ class Delta2DEngine : public runtime::Snapshotable {
 
     build_reducer();
 
-    machine_.add_snapshotable(this);
-
     const PeId owner = partition_.state_owner_of_vertex(source_);
     machine_.schedule_at(0.0, owner, [this](Pe& pe) {
       PeState& state = pes_[pe.id()];
@@ -119,20 +116,6 @@ class Delta2DEngine : public runtime::Snapshotable {
       });
     }
   }
-
-  ~Delta2DEngine() override { machine_.remove_snapshotable(this); }
-
-  // ---- optimistic-engine hooks (runtime::Snapshotable) ------------------
-  // The 2-D engine declares speculation unsupported: a vertex's state
-  // owner and its edge relaxers live in *different* grid cells (often
-  // different simulated nodes), so a node-local snapshot cannot cover
-  // the cross-cell candidate flow.  Registering the unsupported hook
-  // downgrades the whole machine to the conservative schedule — safe by
-  // construction — instead of silently speculating wrongly.
-  bool speculation_supported() const override { return false; }
-  std::size_t speculative_checkpoint(std::uint32_t) override { return 0; }
-  void speculative_restore(std::uint32_t) override {}
-  void speculative_commit(std::uint32_t) override {}
 
   DeltaRunResult run(runtime::SimTime time_limit_us) {
     const runtime::RunStats stats = machine_.run(time_limit_us);

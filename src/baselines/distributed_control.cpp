@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/sssp/update.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/prefetch.hpp"
@@ -34,7 +33,7 @@ struct PeState {
   std::uint64_t touched = 0;
 };
 
-class DcEngine : public runtime::Snapshotable {
+class DcEngine {
  public:
   DcEngine(runtime::Machine& machine, const graph::Csr& csr,
            const graph::Partition1D& partition, VertexId source,
@@ -77,62 +76,17 @@ class DcEngine : public runtime::Snapshotable {
       }
     }
 
-    spec_ckpt_.resize(machine_.topology().nodes);
-    machine_.add_snapshotable(this);
-
     machine_.schedule_at(0.0, partition_.owner(source_), [this](Pe& pe) {
       create_update(pe, source_, 0.0);
     });
     detector_->start();
   }
 
-  ~DcEngine() override {
-    machine_.remove_snapshotable(this);
+  ~DcEngine() {
     for (std::size_t i = 0; i < idle_handler_ids_.size(); ++i) {
       machine_.remove_idle_handler(static_cast<PeId>(i),
                                    idle_handler_ids_[i]);
     }
-  }
-
-  // ---- optimistic-engine hooks (runtime::Snapshotable) ------------------
-  // Per-node snapshot: the node's PeStates (distances, priority queue,
-  // counters).  The tram and the termination detector (which covers its
-  // owned reducer plus the root-side detection history) snapshot
-  // themselves.
-  std::size_t speculative_checkpoint(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    ck.pes.clear();
-    std::size_t bytes = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      ck.pes.push_back(pes_[p]);
-      bytes += sizeof(PeState) + pes_[p].dist.size() * sizeof(Dist) +
-               pes_[p].pq.size() * sizeof(Update);
-    }
-    bytes += tram_->speculative_checkpoint(n);
-    bytes += detector_->speculative_checkpoint(n);
-    return bytes;
-  }
-
-  void speculative_restore(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    std::size_t i = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      pes_[p] = ck.pes[i++];
-    }
-    ACIC_ASSERT(i == ck.pes.size());
-    tram_->speculative_restore(n);
-    detector_->speculative_restore(n);
-    ck.pes.clear();
-  }
-
-  void speculative_commit(std::uint32_t n) override {
-    tram_->speculative_commit(n);
-    detector_->speculative_commit(n);
-    spec_ckpt_[n].pes.clear();
   }
 
   DistributedControlRunResult run(runtime::SimTime time_limit_us) {
@@ -259,12 +213,6 @@ class DcEngine : public runtime::Snapshotable {
   std::vector<runtime::IdleHandlerId> idle_handler_ids_;
   std::unique_ptr<UpdateTram> tram_;
   std::unique_ptr<runtime::TerminationDetector> detector_;
-
-  /// Optimistic-engine snapshot shard, one per simulated node.
-  struct alignas(64) NodeCkpt {
-    std::vector<PeState> pes;  // the node's PEs, ascending PeId
-  };
-  std::vector<NodeCkpt> spec_ckpt_;
 };
 
 }  // namespace

@@ -53,7 +53,6 @@ Reducer::Reducer(Machine& machine, std::size_t width, RootHandler on_root,
   all_sum_ = std::all_of(ops_.begin(), ops_.end(),
                          [](ReduceOp op) { return op == ReduceOp::kSum; });
   pools_.resize(machine_.topology().nodes);
-  ckpt_.resize(machine_.topology().nodes);
   node_of_.resize(machine_.num_pes());
   for (PeId p = 0; p < machine_.num_pes(); ++p) {
     node_of_[p] = machine_.topology().node_of(p);
@@ -161,38 +160,6 @@ void Reducer::broadcast_down(Pe& pe, std::uint64_t cycle,
   on_bcast_(pe, cycle, payload);
 }
 
-std::size_t Reducer::speculative_checkpoint(std::uint32_t node) {
-  NodeCheckpoint& ck = ckpt_[node];
-  ck.states.clear();
-  std::size_t bytes = 0;
-  for (PeId pe = 0; pe < nodes_.size(); ++pe) {
-    if (node_of_[pe] != node) continue;
-    ck.states.push_back(nodes_[pe]);  // deep-copies the pending map
-    bytes += sizeof(NodeState);
-    for (const auto& [cycle, pending] : ck.states.back().pending) {
-      bytes += sizeof(PendingCycle) + pending.sum.size() * sizeof(double);
-    }
-  }
-  if (node == 0) ck.cycles_completed = cycles_completed_;
-  return bytes;
-}
-
-void Reducer::speculative_restore(std::uint32_t node) {
-  NodeCheckpoint& ck = ckpt_[node];
-  std::size_t i = 0;
-  for (PeId pe = 0; pe < nodes_.size(); ++pe) {
-    if (node_of_[pe] != node) continue;
-    nodes_[pe] = ck.states[i++];
-  }
-  ACIC_ASSERT(i == ck.states.size());
-  if (node == 0) cycles_completed_ = ck.cycles_completed;
-  ck.states.clear();
-}
-
-void Reducer::speculative_commit(std::uint32_t node) {
-  ckpt_[node].states.clear();
-}
-
 TerminationDetector::TerminationDetector(
     Machine& machine,
     std::function<std::pair<std::uint64_t, std::uint64_t>(Pe&)> counters,
@@ -241,32 +208,6 @@ TerminationDetector::TerminationDetector(
                                     static_cast<double>(processed)});
                              });
       });
-}
-
-std::size_t TerminationDetector::speculative_checkpoint(std::uint32_t node) {
-  std::size_t bytes = reducer_->speculative_checkpoint(node);
-  if (node == 0) {
-    ckpt_last_created_ = last_created_;
-    ckpt_last_processed_ = last_processed_;
-    ckpt_armed_ = armed_;
-    ckpt_terminated_ = terminated_;
-    bytes += 2 * sizeof(double) + 2 * sizeof(bool);
-  }
-  return bytes;
-}
-
-void TerminationDetector::speculative_restore(std::uint32_t node) {
-  reducer_->speculative_restore(node);
-  if (node == 0) {
-    last_created_ = ckpt_last_created_;
-    last_processed_ = ckpt_last_processed_;
-    armed_ = ckpt_armed_;
-    terminated_ = ckpt_terminated_;
-  }
-}
-
-void TerminationDetector::speculative_commit(std::uint32_t node) {
-  reducer_->speculative_commit(node);
 }
 
 void TerminationDetector::start() {

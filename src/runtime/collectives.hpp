@@ -67,17 +67,6 @@ class Reducer {
   std::size_t width() const { return width_; }
   std::uint64_t cycles_completed() const { return cycles_completed_; }
 
-  // --- Optimistic-engine hooks (src/runtime/speculation.hpp), called
-  // through the engines' Snapshotable registrations one simulated node
-  // at a time.  The snapshot for node `n` covers the tree state mutated
-  // by node-`n` tasks: each of the node's PEs' in-flight partial sums
-  // and cycle counters, plus (on node 0 only, where the root PE lives)
-  // the root-side cycles_completed counter.  Payload pools are
-  // memory-only recycling state and are not snapshotted.
-  std::size_t speculative_checkpoint(std::uint32_t node);
-  void speculative_restore(std::uint32_t node);
-  void speculative_commit(std::uint32_t node);
-
  private:
   struct PendingCycle {
     std::vector<double> sum;
@@ -124,13 +113,6 @@ class Reducer {
     std::vector<std::vector<double>> pool;
   };
   std::vector<NodePool> pools_;           // one per simulated node
-  /// Optimistic-engine snapshot shard, one per simulated node (padded so
-  /// concurrently checkpointing shards never share a cache line).
-  struct alignas(64) NodeCheckpoint {
-    std::vector<NodeState> states;       // the node's PEs, ascending PeId
-    std::uint64_t cycles_completed = 0;  // meaningful on node 0 only
-  };
-  std::vector<NodeCheckpoint> ckpt_;      // one per simulated node
   std::vector<std::uint32_t> node_of_;    // PeId -> simulated node
   SimTime combine_cost_us_per_element_ = 0.002;
   std::uint64_t cycles_completed_ = 0;
@@ -160,13 +142,6 @@ class TerminationDetector {
   bool terminated() const { return terminated_; }
   std::uint64_t cycles() const { return reducer_->cycles_completed(); }
 
-  // --- Optimistic-engine hooks: delegate to the owned Reducer and add
-  // the root-side detection history (mutated only by the root handler,
-  // which runs on PE 0 — node 0).
-  std::size_t speculative_checkpoint(std::uint32_t node);
-  void speculative_restore(std::uint32_t node);
-  void speculative_commit(std::uint32_t node);
-
  private:
   Machine& machine_;
   std::function<std::pair<std::uint64_t, std::uint64_t>(Pe&)> counters_;
@@ -179,11 +154,6 @@ class TerminationDetector {
   double last_processed_ = -2.0;
   bool armed_ = false;  // true after the first matching reduction
   bool terminated_ = false;
-  // Optimistic-engine snapshot of the root-side history (node 0 only).
-  double ckpt_last_created_ = -1.0;
-  double ckpt_last_processed_ = -2.0;
-  bool ckpt_armed_ = false;
-  bool ckpt_terminated_ = false;
 };
 
 }  // namespace acic::runtime

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/obs/registry.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::runtime {
@@ -111,77 +110,6 @@ struct alignas(64) Machine::Shard {
   bool sent_mail = false;
   RunStats stats;
   std::int64_t ready_delta = 0;  // folded into ready_tasks_ after the run
-
-  // --- Optimistic mode (EngineMode::kOptimistic) --------------------
-  // One speculative epoch at a time: opened at the end of a window's
-  // conservative execution, resolved (commit or rollback) at the very
-  // next window.  See docs/performance.md, "Optimistic engine".
-  /// Entities of this simulated node (their scheduler state is part of
-  /// the checkpoint).
-  std::vector<PeId> members;
-  /// True while the claim loop is executing events speculatively —
-  /// routes handle_exec to the clone path and sends to spec_outbox.
-  bool spec_active = false;
-  /// True while an epoch awaits resolution at the next barrier.
-  bool speculating = false;
-  /// Exclusive end of the speculation horizon, shrunk on the fly by
-  /// the shard's own held sends (a reaction to held mail arriving at A
-  /// cannot land back here before A + lookahead).
-  SimTime spec_limit = 0.0;
-  /// Key of the last (largest) speculatively executed event; mail
-  /// merging below it is a straggler.
-  Event spec_last{};
-  /// Heap minimum at checkpoint time — the conservative value the next
-  /// window's plan must see, since the speculatively drained heap no
-  /// longer holds it.
-  SimTime spec_base_min = kNoTimeLimit;
-  std::uint64_t spec_epoch_events = 0;  // events in the pending epoch
-  /// Cross-node sends made during the epoch, promoted to `outbox` on
-  /// commit, discarded on rollback (the replay regenerates them with
-  /// identical keys).
-  std::vector<std::vector<Mail>> spec_outbox;
-  /// Mail merged at the barrier while the epoch was pending (already
-  /// checked not to undercut spec_last): parked here instead of the
-  /// heap so a rollback can restore the heap wholesale; joins the heap
-  /// at resolution either way.
-  std::vector<Mail> pending_mail;
-  /// Slots of tasks executed speculatively: the parked original stays
-  /// in place for replay (handle_exec ran a clone); freed on commit.
-  std::vector<std::uint32_t> spec_freed;
-  /// Slots acquired during the epoch: nulled on rollback before the
-  /// free-list snapshot is restored.
-  std::vector<std::uint32_t> spec_acquired;
-
-  // Checkpoint of shard-local machine state.  Full copies, not
-  // journals: everything here is per-node and windows are short, so a
-  // copy (whose backing stores persist across epochs) beats journaling
-  // complexity.
-  util::DaryHeap<Event, EventOrder> ckpt_heap;
-  std::vector<std::uint32_t> ckpt_free_slots;
-  std::size_t ckpt_slots_size = 0;
-  std::uint64_t ckpt_node_seq = 0;
-  SimTime ckpt_now = 0.0;
-  RunStats ckpt_stats;
-  std::int64_t ckpt_ready_delta = 0;
-  struct PeCheckpoint {
-    Pe::TaskRing fifo;
-    SimTime avail_time;
-    SimTime current_time;
-    bool exec_scheduled;
-    std::size_t idle_cursor;
-    SimTime busy_us;
-    std::uint64_t tasks_run;
-  };
-  std::vector<PeCheckpoint> ckpt_pes;  // parallel to `members`
-
-  // Host-side diagnostics, deliberately OUTSIDE the checkpoint: a
-  // rollback must not erase the record that it happened.
-  std::uint64_t spec_rollbacks = 0;
-  std::uint64_t spec_commits = 0;
-  std::uint64_t spec_events = 0;
-  std::uint64_t spec_replayed = 0;
-  std::uint64_t spec_ckpt_bytes = 0;
-  std::vector<std::pair<double, double>> gvt_lag;  // (floor time, lag)
 };
 
 /// Parallel-run scratch that outlives a single run(): shard heaps, slot
@@ -289,9 +217,6 @@ IdleHandlerId Machine::add_idle_handler(PeId pe, IdleHandler handler) {
   ACIC_ASSERT_MSG(!pes_[pe].idle_polling_,
                   "cannot register an idle handler from inside an idle "
                   "poll on the same PE");
-  ACIC_ASSERT_MSG(tls_shard_ == nullptr || !tls_shard_->spec_active,
-                  "idle-handler registration is not checkpointed; it "
-                  "cannot happen during speculative execution");
   const IdleHandlerId id = next_idle_handler_id_++;
   pes_[pe].idle_handlers_.push_back(Pe::IdleEntry{id, std::move(handler)});
   // If the PE is already asleep, poke it so the new handler gets a chance
@@ -306,9 +231,6 @@ void Machine::remove_idle_handler(PeId pe, IdleHandlerId id) {
   ACIC_ASSERT_MSG(!pes_[pe].idle_polling_,
                   "cannot deregister an idle handler from inside an idle "
                   "poll on the same PE");
-  ACIC_ASSERT_MSG(tls_shard_ == nullptr || !tls_shard_->spec_active,
-                  "idle-handler deregistration is not checkpointed; it "
-                  "cannot happen during speculative execution");
   auto& handlers = pes_[pe].idle_handlers_;
   for (std::size_t i = 0; i < handlers.size(); ++i) {
     if (handlers[i].id == id) {
@@ -331,38 +253,6 @@ void Machine::set_speed_factor(PeId pe, double factor) {
   pes_[pe].speed_factor_ = factor;
 }
 
-void Machine::add_snapshotable(Snapshotable* hook) {
-  ACIC_ASSERT(hook != nullptr);
-  snapshotables_.push_back(hook);
-}
-
-void Machine::remove_snapshotable(Snapshotable* hook) {
-  for (std::size_t i = 0; i < snapshotables_.size(); ++i) {
-    if (snapshotables_[i] == hook) {
-      snapshotables_.erase(snapshotables_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-  ACIC_ASSERT_MSG(false, "snapshotable hook not registered");
-}
-
-void Machine::publish_speculation(obs::Registry& registry) const {
-  const auto add = [&](const char* name, std::uint64_t value) {
-    registry.add(registry.counter(name), /*entity=*/0, value,
-                 current_time_);
-  };
-  add("parallel/speculation_rollbacks", speculation_rollbacks_);
-  add("parallel/speculation_commits", speculation_commits_);
-  add("parallel/speculation_events", speculated_events_);
-  add("parallel/speculation_replayed_events", replayed_events_);
-  add("parallel/speculation_checkpoint_bytes", checkpoint_bytes_);
-  const auto sid = registry.series("parallel/speculation_gvt_lag");
-  for (const auto& [floor_time, lag] : gvt_lag_log_) {
-    registry.append(sid, floor_time, lag);
-  }
-}
-
 std::uint32_t Machine::acquire_slot(Task task) {
   Shard* const sh = tls_shard_;
   std::vector<Task>& slots = sh != nullptr ? sh->slots : task_slots_;
@@ -372,13 +262,11 @@ std::uint32_t Machine::acquire_slot(Task task) {
     const std::uint32_t slot = free_list.back();
     free_list.pop_back();
     slots[slot] = std::move(task);
-    if (sh != nullptr && sh->spec_active) sh->spec_acquired.push_back(slot);
     return slot;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(slots.size());
   ACIC_ASSERT_MSG(slot < kNoSlot, "task slot store exceeded 2^30 entries");
   slots.push_back(std::move(task));
-  if (sh != nullptr && sh->spec_active) sh->spec_acquired.push_back(slot);
   return slot;
 }
 
@@ -431,17 +319,6 @@ void Machine::push_arrival(SimTime time, PeId pe, Task task,
       ACIC_ASSERT_MSG(time >= sh->cross_floor,
                       "cross-node event scheduled inside the conservative "
                       "window (use a send, or run with --threads 1)");
-      if (sh->spec_active) {
-        // Speculative sends are held back: they reach the real outbox
-        // only if the epoch commits (a rollback's replay regenerates
-        // them with identical keys).  Shrinking the horizon to the
-        // earliest possible reaction keeps the epoch committable.
-        sh->spec_outbox[dest].push_back(
-            Mail{time, seq, pe, charge_recv, std::move(task)});
-        const SimTime feedback = time + sh->lookahead;
-        if (feedback < sh->spec_limit) sh->spec_limit = feedback;
-        return;
-      }
       sh->outbox[dest].push_back(
           Mail{time, seq, pe, charge_recv, std::move(task)});
       sh->sent_mail = true;
@@ -505,18 +382,7 @@ void Machine::handle_exec(const Event& event) {
     const std::uint32_t queued = pe.fifo_.pop_front();
     // Move the task out of its slot before running it: the task may
     // enqueue new arrivals, which can grow (reallocate) the slot store.
-    // Under speculation, run a *clone* and keep the parked original for
-    // replay; its slot is logged and freed only if the epoch commits
-    // (the claim loop guarantees the task is clonable before letting
-    // the event pop speculatively).
-    Task task;
-    if (sh != nullptr && sh->spec_active) {
-      const std::uint32_t slot = queued & kSlotMask;
-      task = sh->slots[slot].clone();
-      sh->spec_freed.push_back(slot);
-    } else {
-      task = release_slot(queued & kSlotMask);
-    }
+    Task task = release_slot(queued & kSlotMask);
     ++pe.tasks_run_;
     if (sh != nullptr) {
       --sh->ready_delta;
@@ -640,25 +506,8 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     for (std::uint32_t n = 0; n < nodes; ++n) {
       shards[n].node = n;
       shards[n].outbox.resize(nodes);
-      shards[n].spec_outbox.resize(nodes);
-    }
-    for (PeId p = 0; p < num_entities(); ++p) {
-      shards[entity_node_[p]].members.push_back(p);
     }
   }
-  // Optimistic mode engages only when every registered Snapshotable
-  // supports it (and at least one is registered: a raw machine with no
-  // hooks has unknown application state and must stay conservative).
-  bool spec_enabled =
-      engine_mode_ == EngineMode::kOptimistic && !snapshotables_.empty();
-  for (Snapshotable* hook : snapshotables_) {
-    if (!hook->speculation_supported()) spec_enabled = false;
-  }
-  // Speculation horizon past the conservative limit.  A few lookaheads
-  // bounds both the wasted work a rollback can discard and the lifetime
-  // of a checkpoint (one window); the own-send shrink in push_arrival
-  // tightens it further.
-  const SimTime spec_horizon = 3.0 * lookahead;
   for (std::uint32_t n = 0; n < nodes; ++n) {
     Shard& sh = shards[n];
     sh.now = current_time_;
@@ -667,14 +516,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     sh.sent_mail = false;
     sh.stats = RunStats{};
     sh.ready_delta = 0;
-    sh.spec_active = false;
-    sh.speculating = false;
-    sh.spec_rollbacks = 0;
-    sh.spec_commits = 0;
-    sh.spec_events = 0;
-    sh.spec_replayed = 0;
-    sh.spec_ckpt_bytes = 0;
-    sh.gvt_lag.clear();
   }
   // Redistribute the global heap into the per-node shards, migrating
   // parked tasks into each shard's own slot store.  Insertion order is
@@ -764,172 +605,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     scan_cursor.store(0, std::memory_order_relaxed);
   });
 
-  // --- Optimistic-mode helpers --------------------------------------
-  // All of these run on the thread that currently owns the shard
-  // (phase-A merger or phase-B claimant — exclusive either way), so
-  // they touch only shard-local state, the shard's node's PEs, and
-  // that node's slice of the Snapshotable hooks.
-
-  // Is `(time, seq)` ordered before event `e`?  The straggler test:
-  // mail keyed below the speculative execution point invalidates the
-  // epoch.
-  const auto key_below = [](SimTime time, std::uint64_t seq,
-                            const Event& e) {
-    return time < e.time || (time == e.time && seq < e.seq);
-  };
-
-  // Can `top` be executed speculatively?  An exec event about to pop a
-  // non-clonable task cannot (no replay copy would survive a
-  // rollback) — it ends the epoch instead.
-  const auto spec_blocked = [&](const Shard& sh, const Event& top) {
-    if (!top.is_exec()) return false;
-    const Pe& pe = pes_[top.pe];
-    if (pe.fifo_.empty()) return false;
-    return !sh.slots[pe.fifo_.front() & kSlotMask].clonable();
-  };
-
-  const auto take_checkpoint = [&](Shard& sh) {
-    sh.ckpt_heap = sh.heap;  // copy-assign: reuses ckpt capacity
-    sh.ckpt_free_slots = sh.free_slots;
-    sh.ckpt_slots_size = sh.slots.size();
-    sh.ckpt_node_seq = node_seq_[sh.node].next;
-    sh.ckpt_now = sh.now;
-    sh.ckpt_stats = sh.stats;
-    sh.ckpt_ready_delta = sh.ready_delta;
-    sh.ckpt_pes.clear();
-    std::size_t bytes = sh.heap.size() * sizeof(Event) +
-                        sh.free_slots.size() * sizeof(std::uint32_t) +
-                        sizeof(Shard);
-    for (const PeId p : sh.members) {
-      Pe& pe = pes_[p];
-      sh.ckpt_pes.push_back(Shard::PeCheckpoint{
-          pe.fifo_, pe.avail_time_, pe.current_time_, pe.exec_scheduled_,
-          pe.idle_cursor_, pe.busy_us_, pe.tasks_run_});
-      bytes += sizeof(Shard::PeCheckpoint);
-    }
-    for (Snapshotable* hook : snapshotables_) {
-      bytes += hook->speculative_checkpoint(sh.node);
-    }
-    sh.spec_ckpt_bytes += bytes;
-  };
-
-  // Rolls the shard back to its checkpoint and closes the epoch.  Any
-  // mail parked in pending_mail joins the restored heap (caller must
-  // have tls_shard_ == &sh so the slots land in the shard's store).
-  const auto rollback = [&](Shard& sh) {
-    std::swap(sh.heap, sh.ckpt_heap);  // swap + clear keeps both capacities
-    sh.ckpt_heap.clear();
-    for (const std::uint32_t slot : sh.spec_acquired) {
-      sh.slots[slot] = nullptr;
-    }
-    sh.slots.resize(sh.ckpt_slots_size);
-    sh.free_slots = sh.ckpt_free_slots;
-    node_seq_[sh.node].next = sh.ckpt_node_seq;
-    sh.now = sh.ckpt_now;
-    sh.stats = sh.ckpt_stats;
-    sh.ready_delta = sh.ckpt_ready_delta;
-    for (std::size_t i = 0; i < sh.members.size(); ++i) {
-      Pe& pe = pes_[sh.members[i]];
-      Shard::PeCheckpoint& ck = sh.ckpt_pes[i];
-      pe.fifo_ = std::move(ck.fifo);
-      pe.avail_time_ = ck.avail_time;
-      pe.current_time_ = ck.current_time;
-      pe.exec_scheduled_ = ck.exec_scheduled;
-      pe.idle_cursor_ = ck.idle_cursor;
-      pe.busy_us_ = ck.busy_us;
-      pe.tasks_run_ = ck.tasks_run;
-    }
-    sh.ckpt_pes.clear();
-    for (Snapshotable* hook : snapshotables_) {
-      hook->speculative_restore(sh.node);
-    }
-    for (std::vector<Mail>& box : sh.spec_outbox) box.clear();
-    for (Mail& m : sh.pending_mail) {
-      const std::uint32_t slot = acquire_slot(std::move(m.task));
-      sh.heap.push(Event{m.time, m.seq, m.pe,
-                         m.charge_recv ? (kRecvBit | slot) : slot});
-    }
-    sh.pending_mail.clear();
-    sh.spec_freed.clear();
-    sh.spec_acquired.clear();
-    sh.speculating = false;
-    ++sh.spec_rollbacks;
-    sh.spec_replayed += sh.spec_epoch_events;
-  };
-
-  // Confirms the epoch: held sends are promoted to the real outbox,
-  // parked mail joins the heap, the slots of committed tasks are
-  // freed, and the hooks drop their snapshots.  (caller holds
-  // tls_shard_ == &sh.)
-  const auto commit = [&](Shard& sh) {
-    for (std::uint32_t dest = 0; dest < nodes; ++dest) {
-      std::vector<Mail>& box = sh.spec_outbox[dest];
-      if (box.empty()) continue;
-      for (Mail& m : box) sh.outbox[dest].push_back(std::move(m));
-      box.clear();
-      sh.sent_mail = true;
-    }
-    for (Mail& m : sh.pending_mail) {
-      const std::uint32_t slot = acquire_slot(std::move(m.task));
-      sh.heap.push(Event{m.time, m.seq, m.pe,
-                         m.charge_recv ? (kRecvBit | slot) : slot});
-    }
-    sh.pending_mail.clear();
-    for (const std::uint32_t slot : sh.spec_freed) {
-      sh.slots[slot] = nullptr;
-      sh.free_slots.push_back(slot);
-    }
-    sh.spec_freed.clear();
-    sh.spec_acquired.clear();
-    for (Snapshotable* hook : snapshotables_) {
-      hook->speculative_commit(sh.node);
-    }
-    sh.ckpt_pes.clear();
-    sh.ckpt_heap.clear();
-    sh.speculating = false;
-    ++sh.spec_commits;
-  };
-
-  // Opens a speculative epoch at the end of a window's conservative
-  // execution: checkpoint, then keep draining the heap past the window
-  // limit.  (caller holds tls_shard_ == &sh; window_limit is the
-  // window just executed.)
-  const auto open_epoch = [&](Shard& sh) {
-    if (sh.heap.empty()) return;
-    sh.spec_limit = sh.window_limit + spec_horizon;
-    const Event& first = sh.heap.top();
-    if (first.time >= sh.spec_limit || first.time > time_limit ||
-        spec_blocked(sh, first)) {
-      return;
-    }
-    sh.spec_base_min = first.time;
-    take_checkpoint(sh);
-    sh.spec_active = true;
-    std::uint64_t nspec = 0;
-    while (!sh.heap.empty()) {
-      const Event& top = sh.heap.top();
-      if (top.time >= sh.spec_limit || top.time > time_limit) break;
-      if (spec_blocked(sh, top)) break;
-      const Event e = top;
-      sh.heap.pop();
-      ++sh.stats.events_processed;
-      sh.now = std::max(sh.now, e.time);
-      if (e.is_exec()) {
-        handle_exec(e);
-      } else {
-        handle_arrival(e);
-      }
-      sh.spec_last = e;
-      ++nspec;
-    }
-    sh.spec_active = false;
-    ACIC_ASSERT_MSG(nspec > 0,
-                    "epoch guard admitted an event the loop rejected");
-    sh.speculating = true;
-    sh.spec_epoch_events = nspec;
-    sh.spec_events += nspec;
-  };
-
   auto worker = [&](unsigned tid) {
     std::uint64_t steals = 0;
     for (;;) {
@@ -942,37 +617,11 @@ RunStats Machine::run_parallel(SimTime time_limit) {
             scan_cursor.fetch_add(1, std::memory_order_relaxed);
         if (d >= nodes) break;
         Shard& dst = shards[d];
-        if (dst.speculating && plan.merge) {
-          // Straggler scan: any merged key below the speculative
-          // execution point invalidates the epoch — roll back here,
-          // then merge normally into the restored heap.
-          bool straggler = false;
-          for (std::uint32_t src = 0; src < nodes && !straggler; ++src) {
-            for (const Mail& m : shards[src].outbox[d]) {
-              if (key_below(m.time, m.seq, dst.spec_last)) {
-                straggler = true;
-                break;
-              }
-            }
-          }
-          if (straggler) {
-            tls_shard_ = &dst;
-            rollback(dst);
-            tls_shard_ = nullptr;
-          }
-        }
         if (plan.merge) {
           tls_shard_ = &dst;
           for (std::uint32_t src = 0; src < nodes; ++src) {
             std::vector<Mail>& box = shards[src].outbox[d];
             for (Mail& mail : box) {
-              if (dst.speculating) {
-                // Epoch survives: park the mail (keyed above
-                // spec_last) so a later rollback can restore the heap
-                // wholesale; it joins the heap at resolution.
-                dst.pending_mail.push_back(std::move(mail));
-                continue;
-              }
               const std::uint32_t slot = acquire_slot(std::move(mail.task));
               dst.heap.push(Event{mail.time, mail.seq, mail.pe,
                                   mail.charge_recv ? (kRecvBit | slot)
@@ -982,21 +631,8 @@ RunStats Machine::run_parallel(SimTime time_limit) {
           }
           tls_shard_ = nullptr;
         }
-        if (dst.speculating) {
-          // Publish the conservative minimum, exactly what this heap
-          // would hold had it not speculated: its checkpoint-time
-          // minimum, lowered by any parked mail.  Other shards' window
-          // limits rely on this (a send reacting to parked mail can
-          // depart as early as that mail's arrival).
-          SimTime pub = dst.spec_base_min;
-          for (const Mail& m : dst.pending_mail) {
-            pub = std::min(pub, m.time);
-          }
-          shard_min[d].v = pub;
-        } else {
-          shard_min[d].v =
-              dst.heap.empty() ? kNoTimeLimit : dst.heap.top().time;
-        }
+        shard_min[d].v =
+            dst.heap.empty() ? kNoTimeLimit : dst.heap.top().time;
       }
       window_barrier.arrive_and_wait();
       // Every thread reads the same plan, so all break together;
@@ -1019,10 +655,7 @@ RunStats Machine::run_parallel(SimTime time_limit) {
               claim[owner].pos.fetch_add(1, std::memory_order_relaxed);
           if (s >= owner_hi) break;
           Shard& sh = shards[s];
-          // A shard with a pending epoch must be claimed even when its
-          // heap ran dry (the speculation may have drained it): the
-          // epoch is resolved here.
-          if (sh.heap.empty() && !sh.speculating) continue;
+          if (sh.heap.empty()) continue;
           if (owner != tid) ++steals;
           // Fixed window: every shard stops at min1 + lookahead.
           // Adaptive: shard d stops at (min over OTHER shards) +
@@ -1037,35 +670,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
                                 : plan.min1 + lookahead;
           sh.cross_floor = shard_min[s].v + lookahead;
           tls_shard_ = &sh;
-          if (sh.speculating) {
-            // Resolve the pending epoch against this window's
-            // conservative limit — the GVT-lite floor the fused
-            // barrier reduction just computed.  In adaptive mode the
-            // limit is first tightened by the earliest reaction each
-            // held send could provoke, exactly the shrink a live send
-            // would have applied.  Commit if the limit covers every
-            // speculated event (they then form a prefix of this
-            // window's conservative schedule); otherwise roll back and
-            // let this window replay them.
-            SimTime limit = sh.window_limit;
-            if (adaptive) {
-              for (const std::vector<Mail>& box : sh.spec_outbox) {
-                for (const Mail& m : box) {
-                  limit = std::min(limit, m.time + lookahead);
-                }
-              }
-            }
-            if (sh.gvt_lag.size() < 1024) {
-              sh.gvt_lag.emplace_back(plan.min1,
-                                      sh.spec_last.time - plan.min1);
-            }
-            if (sh.spec_last.time < limit) {
-              commit(sh);
-              sh.window_limit = limit;
-            } else {
-              rollback(sh);
-            }
-          }
           while (!sh.heap.empty()) {
             const Event& top = sh.heap.top();
             if (top.time >= sh.window_limit || top.time > time_limit) break;
@@ -1079,7 +683,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
               handle_arrival(e);
             }
           }
-          if (spec_enabled) open_epoch(sh);
           tls_shard_ = nullptr;
           if (sh.sent_mail) {
             sh.sent_mail = false;
@@ -1114,20 +717,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   window_merges_ += window_merges;
   shard_steals_ += stats.shard_steals;
   for (Shard& sh : shards) {
-    // A pending epoch always resolves at the next window (a
-    // speculating shard publishes a finite minimum at or below the
-    // time limit, so the plan keeps running until it is resolved).
-    ACIC_ASSERT_MSG(!sh.speculating,
-                    "speculative epoch left unresolved at run end");
-    stats.speculation_rollbacks += sh.spec_rollbacks;
-    stats.speculation_commits += sh.spec_commits;
-    stats.speculated_events += sh.spec_events;
-    stats.replayed_events += sh.spec_replayed;
-    stats.checkpoint_bytes += sh.spec_ckpt_bytes;
-    for (const auto& entry : sh.gvt_lag) {
-      if (gvt_lag_log_.size() < 8192) gvt_lag_log_.push_back(entry);
-    }
-    sh.gvt_lag.clear();
     stats.tasks_executed += sh.stats.tasks_executed;
     stats.idle_polls += sh.stats.idle_polls;
     stats.messages_sent += sh.stats.messages_sent;
@@ -1156,11 +745,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     sh.slots.clear();
     sh.free_slots.clear();
   }
-  speculation_rollbacks_ += stats.speculation_rollbacks;
-  speculation_commits_ += stats.speculation_commits;
-  speculated_events_ += stats.speculated_events;
-  replayed_events_ += stats.replayed_events;
-  checkpoint_bytes_ += stats.checkpoint_bytes;
   stats.end_time_us = current_time_;
   return stats;
 }

@@ -72,7 +72,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/runtime/network.hpp"
@@ -114,32 +113,6 @@ enum class WindowMode {
   kAdaptive,
 };
 
-/// Execution discipline for the parallel engine (serial runs ignore it;
-/// the serial path is byte-unchanged by the mode).
-enum class EngineMode {
-  /// Shards stop hard at the conservative window limit — the schedule
-  /// every other mode is measured against.
-  kConservative,
-  /// Time-Warp-lite: after finishing its conservative window a shard
-  /// checkpoints its local state (event heap + slot store, PE
-  /// schedulers, seq counter, plus solver state via registered
-  /// Snapshotable hooks) and keeps executing past the window limit up
-  /// to a speculation horizon, holding cross-node sends back.  At the
-  /// next barrier the speculation either commits (no message landed
-  /// below the speculative execution point, and the new conservative
-  /// window limit covers it) or rolls back to the checkpoint and
-  /// replays conservatively.  The committed schedule is bit-identical
-  /// to kConservative — checksums, sim times, and all simulated
-  /// RunStats fields match; only the host-side diagnostics
-  /// (speculation_* fields) differ.  Speculation engages only when at
-  /// least one Snapshotable is registered and all registered hooks
-  /// support it; otherwise the run silently downgrades to the
-  /// conservative schedule.
-  kOptimistic,
-};
-
-class Snapshotable;  // src/runtime/speculation.hpp
-
 /// Aggregate statistics for one run() invocation.
 ///
 /// The first block is simulated-side and bit-identical across thread
@@ -169,22 +142,6 @@ struct RunStats {
   std::uint64_t window_merges = 0;
   /// Shards executed by a thread other than their home thread.
   std::uint64_t shard_steals = 0;
-  /// Optimistic-engine diagnostics (all 0 under kConservative and on
-  /// the serial path).  Host-side only, like the fields above: the
-  /// committed schedule never depends on how much was speculated.
-  /// Speculative epochs that rolled back.
-  std::uint64_t speculation_rollbacks = 0;
-  /// Speculative epochs that committed.
-  std::uint64_t speculation_commits = 0;
-  /// Events executed past the conservative window limit (committed or
-  /// not).
-  std::uint64_t speculated_events = 0;
-  /// Speculated events discarded by a rollback (re-executed later by
-  /// the conservative schedule) — wasted work.
-  std::uint64_t replayed_events = 0;
-  /// Bytes copied into shard checkpoints (estimate: heap + slot
-  /// bookkeeping + PE scheduler state + Snapshotable hook reports).
-  std::uint64_t checkpoint_bytes = 0;
 };
 
 /// Per-PE execution context handed to every task and idle handler.
@@ -229,10 +186,6 @@ class Pe {
   class TaskRing {
    public:
     bool empty() const noexcept { return count_ == 0; }
-    /// Next word pop_front would return (the optimistic engine peeks
-    /// the queued task to decide whether it can be executed
-    /// speculatively).  Requires !empty().
-    std::uint32_t front() const noexcept { return buf_[head_]; }
     void push_back(std::uint32_t v) {
       if (count_ == buf_.size()) grow();
       buf_[(head_ + count_) & (buf_.size() - 1)] = v;
@@ -348,26 +301,6 @@ class Machine {
   void set_window_mode(WindowMode mode) { window_mode_ = mode; }
   WindowMode window_mode() const { return window_mode_; }
 
-  /// Execution discipline for parallel runs (see EngineMode).  Both
-  /// modes commit the identical schedule; kOptimistic may execute past
-  /// the conservative window and roll back on stragglers.  Must not be
-  /// called while run() is executing.
-  void set_engine_mode(EngineMode mode) { engine_mode_ = mode; }
-  EngineMode engine_mode() const { return engine_mode_; }
-
-  /// Registers application state with the optimistic engine: `hook`
-  /// will be asked to checkpoint/restore/commit per-node state around
-  /// speculative epochs (src/runtime/speculation.hpp).  Speculation
-  /// only engages when at least one hook is registered and every
-  /// registered hook reports speculation_supported(); a raw machine
-  /// with no hooks, or any unsupported hook, runs the conservative
-  /// schedule even under kOptimistic.  The hook must outlive the
-  /// machine or be removed first.  Must not be called while run() is
-  /// executing.
-  void add_snapshotable(Snapshotable* hook);
-  /// Deregisters a hook; asserts if it is not registered.
-  void remove_snapshotable(Snapshotable* hook);
-
   /// Host-side engine diagnostics accumulated across run() calls (the
   /// per-run values live in RunStats).  Windows/merges are deterministic
   /// for a given (schedule, threads, mode); steals depend on host
@@ -375,26 +308,6 @@ class Machine {
   std::uint64_t total_windows() const { return windows_; }
   std::uint64_t total_window_merges() const { return window_merges_; }
   std::uint64_t total_shard_steals() const { return shard_steals_; }
-  std::uint64_t total_speculation_rollbacks() const {
-    return speculation_rollbacks_;
-  }
-  std::uint64_t total_speculation_commits() const {
-    return speculation_commits_;
-  }
-  std::uint64_t total_speculated_events() const { return speculated_events_; }
-  std::uint64_t total_replayed_events() const { return replayed_events_; }
-  std::uint64_t total_checkpoint_bytes() const { return checkpoint_bytes_; }
-
-  /// Publishes the speculation diagnostics accumulated so far into
-  /// `registry` as `parallel/speculation_*` counters plus a
-  /// `parallel/speculation_gvt_lag` series (how far past the global
-  /// virtual-time floor each resolved epoch had speculated, stamped at
-  /// the floor's sim time).  Called after run(): parallel runs cannot
-  /// have a registry attached (run() falls back to the serial loop
-  /// when one is), so speculation counters are exported post-hoc
-  /// rather than live.
-  void publish_speculation(obs::Registry& registry) const;
-
   /// Effective worker count of the most recent run() (clamped to the
   /// node count; 1 for serial runs).
   unsigned last_threads_used() const { return last_threads_used_; }
@@ -533,9 +446,6 @@ class Machine {
   bool running_ = false;  // inside the serial run() loop
   unsigned threads_ = 1;
   WindowMode window_mode_ = WindowMode::kAdaptive;
-  EngineMode engine_mode_ = EngineMode::kConservative;
-  /// Application state registered for optimistic checkpointing.
-  std::vector<Snapshotable*> snapshotables_;
   std::unique_ptr<ParallelState> par_;  // lazily built by run_parallel
   /// The shard the calling host thread is executing (null outside
   /// parallel run()); routes pushes/slot ops/stat updates to shard-local
@@ -551,14 +461,6 @@ class Machine {
   std::uint64_t windows_ = 0;
   std::uint64_t window_merges_ = 0;
   std::uint64_t shard_steals_ = 0;
-  std::uint64_t speculation_rollbacks_ = 0;
-  std::uint64_t speculation_commits_ = 0;
-  std::uint64_t speculated_events_ = 0;
-  std::uint64_t replayed_events_ = 0;
-  std::uint64_t checkpoint_bytes_ = 0;
-  /// (GVT floor sim time, speculation lag) per resolved epoch, bounded
-  /// (oldest kept); feeds the parallel/speculation_gvt_lag series.
-  std::vector<std::pair<double, double>> gvt_lag_log_;
   unsigned last_threads_used_ = 1;
   std::uint64_t ready_tasks_ = 0;  // tasks waiting in PE fifos
   RunStats* active_stats_ = nullptr;

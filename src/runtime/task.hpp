@@ -9,11 +9,8 @@
 // line of every profile.  This type is:
 //
 //   * move-only — a task runs on exactly one PE exactly once; nothing
-//     on the hot path ever copies one, so captures can hold move-only
-//     state (pooled tram buffers move straight into their delivery
-//     task).  The optimistic engine may explicitly clone() a task whose
-//     capture happens to be copy-constructible, to keep a replay copy
-//     across a speculative execution (see clonable());
+//     ever needs to copy one, so captures can hold move-only state
+//     (pooled tram buffers move straight into their delivery task);
 //   * small-buffer-optimized — captures up to kInlineBytes construct in
 //     place inside the Task, no allocation.  Every per-update closure in
 //     the hot paths (tram delivery, reducer hops, ACIC chunk relaxing)
@@ -119,22 +116,6 @@ class Task {
     return ops_ != nullptr && ops_->inline_stored;
   }
 
-  /// Whether this task's capture is copy-constructible.  The optimistic
-  /// engine may only execute a task speculatively if it can keep a copy
-  /// for replay after a rollback; a non-clonable task (move-only
-  /// capture) acts as a speculation barrier instead.
-  bool clonable() const noexcept {
-    return ops_ != nullptr && ops_->clone != nullptr;
-  }
-
-  /// Copy of this task (capture copy-constructed).  Requires clonable().
-  Task clone() const {
-    Task copy;
-    ops_->clone(copy.storage_, storage_);
-    copy.ops_ = ops_;
-    return copy;
-  }
-
   void operator()(Pe& pe) { ops_->invoke(storage_, pe); }
 
  private:
@@ -143,9 +124,6 @@ class Task {
     /// Move-construct dst's representation from src and tear src down.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
-    /// Copy-construct dst's representation from src (null when the
-    /// capture type is not copy-constructible).
-    void (*clone)(void* dst, const void* src);
     bool inline_stored;
   };
 
@@ -195,44 +173,11 @@ class Task {
   }
 
   template <typename Fn>
-  static void inline_clone(void* dst, const void* src) {
-    ::new (dst) Fn(*std::launder(
-        reinterpret_cast<const Fn*>(src)));
-  }
-  template <typename Fn>
-  static void spill_clone(void* dst, const void* src) {
-    const Fn* from = static_cast<const Fn*>(
-        *reinterpret_cast<void* const*>(src));
-    void* block = detail::task_slab_alloc(sizeof(Fn));
-    ::new (block) Fn(*from);
-    *reinterpret_cast<void**>(dst) = block;
-  }
-
-  template <typename Fn>
-  static constexpr auto inline_clone_or_null() {
-    if constexpr (std::is_copy_constructible_v<Fn>) {
-      return &inline_clone<Fn>;
-    } else {
-      return static_cast<void (*)(void*, const void*)>(nullptr);
-    }
-  }
-  template <typename Fn>
-  static constexpr auto spill_clone_or_null() {
-    if constexpr (std::is_copy_constructible_v<Fn>) {
-      return &spill_clone<Fn>;
-    } else {
-      return static_cast<void (*)(void*, const void*)>(nullptr);
-    }
-  }
-
-  template <typename Fn>
   static constexpr Ops kInlineOps{&inline_invoke<Fn>, &inline_relocate<Fn>,
-                                  &inline_destroy<Fn>,
-                                  inline_clone_or_null<Fn>(), true};
+                                  &inline_destroy<Fn>, true};
   template <typename Fn>
   static constexpr Ops kSpillOps{&spill_invoke<Fn>, &spill_relocate,
-                                 &spill_destroy<Fn>,
-                                 spill_clone_or_null<Fn>(), false};
+                                 &spill_destroy<Fn>, false};
 
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];

@@ -261,10 +261,7 @@ SolverRun run_solver(const std::string& name, runtime::Machine& machine,
   for (const RegistryEntry& entry : solver_registry()) {
     if (entry.name != name) continue;
     if (opts.registry != nullptr) machine.set_registry(opts.registry);
-    const runtime::EngineMode previous_mode = machine.engine_mode();
-    machine.set_engine_mode(opts.engine_mode);
     SolverRun run = entry.fn(machine, csr, source, opts);
-    machine.set_engine_mode(previous_mode);
     run.telemetry.solver = name;
     run.telemetry.busy_imbalance = imbalance(run.telemetry.pe_busy_us);
     return run;

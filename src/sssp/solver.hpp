@@ -74,17 +74,6 @@ struct SolverOptions {
 
   runtime::SimTime time_limit_us = runtime::kNoTimeLimit;
 
-  /// Engine schedule for the run (src/runtime/machine.hpp EngineMode):
-  /// kOptimistic lets parallel shards speculate past their conservative
-  /// window limit with checkpoint/rollback.  Committed results are
-  /// bit-identical to conservative mode; only host-side diagnostics
-  /// (RunStats::speculation_*) differ.  run_solver applies the mode to
-  /// the machine for the duration of the run and restores the previous
-  /// mode afterwards.  Solvers whose state cannot be snapshotted
-  /// (delta_stepping_2d) register an unsupported hook and run
-  /// conservatively regardless.  Ignored by "sequential" (no machine).
-  runtime::EngineMode engine_mode = runtime::EngineMode::kConservative;
-
   /// Optional observability registry (src/obs/registry.hpp): attached
   /// to the machine and propagated into the solver's tram/engine
   /// configs, so one run emits runtime, tram and algorithm streams

@@ -79,6 +79,13 @@ double Options::get_double(const std::string& key, double fallback) const {
   return std::strtod(value.c_str(), nullptr);
 }
 
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
 bool Options::get_bool(const std::string& key, bool fallback) const {
   std::string value;
   if (!lookup(key, &value)) return fallback;

@@ -32,6 +32,11 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Keys given on the command line (or through set()), sorted.  ACIC_*
+  /// environment defaults are not included: they are shared by every
+  /// binary, so a caller checking for unknown keys must not see them.
+  std::vector<std::string> keys() const;
+
   /// Programmatic override (used by tests).
   void set(const std::string& key, const std::string& value) {
     values_[key] = value;

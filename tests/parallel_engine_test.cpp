@@ -6,8 +6,8 @@
 // timestamp ties exactly like the serial event queue.  The ParallelWindow
 // suite attacks the adaptive widening rule directly: a cross-node send
 // landing exactly on the widened boundary, sparse traffic where adaptive
-// must strictly reduce window count, and a steal-heavy skewed topology.
-// The graph builders carry the same contract for their thread parameter.
+// must strictly reduce window count, a steal-heavy skewed topology, and
+// hand-built mail schedules at the window's edges.  The graph builders carry the same contract for their thread parameter.
 
 #include <algorithm>
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "src/graph/csr.hpp"
 #include "src/graph/generators.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 
@@ -31,7 +30,6 @@ using acic::graph::Csr;
 using acic::graph::Edge;
 using acic::graph::EdgeList;
 using acic::graph::GenParams;
-using acic::runtime::EngineMode;
 using acic::runtime::Machine;
 using acic::runtime::Pe;
 using acic::runtime::PeId;
@@ -45,11 +43,6 @@ struct Diag {
   std::uint64_t windows = 0;
   std::uint64_t steals = 0;
   unsigned threads_used = 0;
-  std::uint64_t spec_rollbacks = 0;
-  std::uint64_t spec_commits = 0;
-  std::uint64_t spec_events = 0;
-  std::uint64_t spec_replayed = 0;
-  std::uint64_t ckpt_bytes = 0;
 };
 
 /// Everything a run exposes that must be independent of the host
@@ -74,13 +67,11 @@ Observed run_solver_observed(const std::string& solver,
                              const acic::stats::ExperimentSpec& spec,
                              const Csr& csr, unsigned threads,
                              WindowMode mode = WindowMode::kAdaptive,
-                             Diag* diag = nullptr,
-                             EngineMode emode = EngineMode::kConservative) {
+                             Diag* diag = nullptr) {
   Machine machine(spec.topology());
   machine.set_threads(threads);
   machine.set_window_mode(mode);
   acic::sssp::SolverOptions opts;
-  opts.engine_mode = emode;
   const acic::sssp::SolverRun run =
       acic::sssp::run_solver(solver, machine, csr, spec.source, opts);
   Observed o;
@@ -103,11 +94,6 @@ Observed run_solver_observed(const std::string& solver,
     diag->windows = machine.total_windows();
     diag->steals = machine.total_shard_steals();
     diag->threads_used = machine.last_threads_used();
-    diag->spec_rollbacks = machine.total_speculation_rollbacks();
-    diag->spec_commits = machine.total_speculation_commits();
-    diag->spec_events = machine.total_speculated_events();
-    diag->spec_replayed = machine.total_replayed_events();
-    diag->ckpt_bytes = machine.total_checkpoint_bytes();
   }
   return o;
 }
@@ -338,61 +324,34 @@ TEST(ParallelWindow, ThreadCountClampedToNodeCount) {
   EXPECT_EQ(machine.last_threads_used(), 4u);
 }
 
-// --- Optimistic-engine (Time-Warp-lite) suite ------------------------
+// --- Hand-built mail schedules -----------------------------------------
 //
-// EngineMode::kOptimistic lets each shard execute past its conservative
-// window limit against a checkpoint, rolling back and replaying when a
-// cross-node message lands below its speculative execution point.  The
-// contract is the same as set_threads/set_window_mode: a wall-clock
-// knob, never a results knob — every committed schedule must be
-// bit-identical to the conservative (and serial) one.  These tests
-// force the rollback machinery through its sharpest cases: a straggler
-// one tick below the speculative execution point, a straggler tied
-// with a speculated event, one straggler source rolling several shards
-// back at the same barrier, and rollbacks under work stealing.
+// Cross-node mail landing among a shard's own events at the edges of a
+// window: below later local events, tied with a local event at exactly
+// the window limit, and one sender mailing two shards at once.  Each
+// schedule runs at threads {2, 3} in both window modes and must
+// reproduce the serial per-node record exactly.
 
-/// Test-side application state for raw-machine adversarial runs: a
-/// per-node record of executed payload values.  Speculation only
-/// engages when every registered Snapshotable covers the state tasks
-/// mutate, so the recorder checkpoints/restores its own vectors — a
-/// rolled-back speculative execution must leave no trace in them, or
-/// the final record shows duplicates.
-class RecordingState : public acic::runtime::Snapshotable {
+/// Per-node record of executed payload values.  A task appends only to
+/// its own node's vector, so shards never share a record.
+class NodeRecorder {
  public:
-  explicit RecordingState(Machine& machine) : machine_(machine) {
-    per_node_.resize(machine.topology().nodes);
-    ckpt_.resize(machine.topology().nodes);
-    machine_.add_snapshotable(this);
-  }
-  ~RecordingState() override { machine_.remove_snapshotable(this); }
+  explicit NodeRecorder(const Machine& machine)
+      : topology_(machine.topology()), per_node_(topology_.nodes) {}
 
-  /// Appends `value` to the executing PE's node-local record.
   void record(const Pe& pe, int value) {
-    per_node_[machine_.topology().node_of(pe.id())].push_back(value);
+    per_node_[topology_.node_of(pe.id())].push_back(value);
   }
-  const std::vector<int>& node_record(std::uint32_t n) const {
-    return per_node_[n];
-  }
-
-  std::size_t speculative_checkpoint(std::uint32_t n) override {
-    ckpt_[n] = per_node_[n];
-    return ckpt_[n].size() * sizeof(int);
-  }
-  void speculative_restore(std::uint32_t n) override {
-    per_node_[n] = ckpt_[n];
-    ckpt_[n].clear();
-  }
-  void speculative_commit(std::uint32_t n) override { ckpt_[n].clear(); }
+  const std::vector<std::vector<int>>& records() const { return per_node_; }
 
  private:
-  Machine& machine_;
+  Topology topology_;
   std::vector<std::vector<int>> per_node_;
-  std::vector<std::vector<int>> ckpt_;
 };
 
 /// Zero-overhead network with a 4 us inter-node wire: arrivals land at
 /// send time + 4 exactly, and the engine's lookahead (and thus the
-/// adaptive window limit off a t=0 minimum) is exactly 4.
+/// window limit off a t=0 minimum) is exactly 4.
 acic::runtime::NetworkModel wire4() {
   acic::runtime::NetworkModel net;
   net.send_overhead_us = 0.0;
@@ -401,223 +360,101 @@ acic::runtime::NetworkModel wire4() {
   return net;
 }
 
-// One straggler, one tick below the speculative execution point.  Node
-// 0's conservative window off the t=0 minima is [0, 4); it speculates
-// the t=5 and t=6 events.  Node 1's t=0 handler mails node 0 with a
-// t=4 arrival — below the speculative execution point (t=6), so the
-// barrier must roll node 0 back, deliver the straggler, and replay
-// t=5/t=6 after it.  An engine that kept the speculation would record
-// 11 and 12 before 99 (or, without state restore, record them twice).
-TEST(OptimisticEngine, StragglerOneTickBelowSpeculationPointRollsBack) {
-  auto run_once = [](unsigned threads, EngineMode emode, Diag* diag) {
-    Machine machine(Topology{2, 1, 1}, wire4());
-    machine.set_threads(threads);
-    machine.set_engine_mode(emode);
-    RecordingState rec(machine);
-    machine.schedule_at(0.0, 0, [&rec](Pe& pe) { rec.record(pe, 10); });
-    machine.schedule_at(5.0, 0, [&rec](Pe& pe) { rec.record(pe, 11); });
-    machine.schedule_at(6.0, 0, [&rec](Pe& pe) { rec.record(pe, 12); });
-    machine.schedule_at(0.0, 1, [&rec](Pe& pe) {
-      rec.record(pe, 20);
-      pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
-    });
-    const RunStats stats = machine.run();
-    if (diag != nullptr) {
-      diag->spec_rollbacks = stats.speculation_rollbacks;
-      diag->spec_events = stats.speculated_events;
-      diag->spec_replayed = stats.replayed_events;
-      diag->ckpt_bytes = stats.checkpoint_bytes;
-    }
-    return std::pair(std::vector<std::vector<int>>{rec.node_record(0),
-                                                   rec.node_record(1)},
-                     stats.end_time_us);
-  };
+using Schedule = void (*)(Machine&, NodeRecorder&);
 
-  const auto [serial_rec, serial_end] =
-      run_once(1, EngineMode::kConservative, nullptr);
-  EXPECT_EQ(serial_rec[0], (std::vector<int>{10, 99, 11, 12}));
-  EXPECT_EQ(serial_rec[1], (std::vector<int>{20}));
-
-  const auto [conservative_rec, conservative_end] =
-      run_once(2, EngineMode::kConservative, nullptr);
-  EXPECT_EQ(conservative_rec, serial_rec);
-  EXPECT_EQ(conservative_end, serial_end);
-
-  Diag diag;
-  const auto [optimistic_rec, optimistic_end] =
-      run_once(2, EngineMode::kOptimistic, &diag);
-  EXPECT_EQ(optimistic_rec, serial_rec);
-  EXPECT_EQ(optimistic_end, serial_end);
-  // The schedule above *forces* the speculation to be wrong: if no
-  // rollback happened, either nothing was speculated (the mode never
-  // engaged) or the straggler was dropped.
-  EXPECT_GE(diag.spec_events, 2u);
-  EXPECT_GE(diag.spec_rollbacks, 1u);
-  EXPECT_GE(diag.spec_replayed, 2u);
-  EXPECT_GT(diag.ckpt_bytes, 0u);
+/// Runs `schedule` on a fresh wire4 machine; returns the per-node
+/// records and the end time.
+std::pair<std::vector<std::vector<int>>, double> run_recorded(
+    Topology topology, Schedule schedule, unsigned threads,
+    WindowMode mode) {
+  Machine machine(topology, wire4());
+  machine.set_threads(threads);
+  machine.set_window_mode(mode);
+  NodeRecorder rec(machine);
+  schedule(machine, rec);
+  const RunStats stats = machine.run();
+  return {rec.records(), stats.end_time_us};
 }
 
-// The tie case: the straggler's arrival carries the *same* timestamp
-// as a speculated event.  The composite key breaks the tie by sequence
-// (the node-0 local event was created by node 0, the mail by node 1,
-// and node 0's seq namespace sorts first), so the speculated event
-// legitimately precedes the arrival and the speculation may commit —
-// but whether it commits or rolls back, the record must match serial
-// exactly, with no duplicated or reordered entries.
-TEST(OptimisticEngine, StragglerTiedWithSpeculatedEventMatchesSerial) {
-  auto run_once = [](unsigned threads, EngineMode emode) {
-    Machine machine(Topology{2, 1, 1}, wire4());
-    machine.set_threads(threads);
-    machine.set_engine_mode(emode);
-    RecordingState rec(machine);
-    machine.schedule_at(0.0, 0, [&rec](Pe& pe) { rec.record(pe, 10); });
-    // Speculated (window limit is 4, and 4 is not < 4) and tied with
-    // the arrival below.
-    machine.schedule_at(4.0, 0, [&rec](Pe& pe) { rec.record(pe, 11); });
-    machine.schedule_at(0.0, 1, [&rec](Pe& pe) {
-      rec.record(pe, 20);
-      pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
-    });
-    const RunStats stats = machine.run();
-    return std::pair(std::vector<std::vector<int>>{rec.node_record(0),
-                                                   rec.node_record(1)},
-                     stats.end_time_us);
-  };
-
-  const auto serial = run_once(1, EngineMode::kConservative);
-  EXPECT_EQ(serial.first[0], (std::vector<int>{10, 11, 99}));
-  for (const unsigned threads : {2u}) {
-    for (const EngineMode emode :
-         {EngineMode::kConservative, EngineMode::kOptimistic}) {
-      SCOPED_TRACE(emode == EngineMode::kOptimistic ? "optimistic"
-                                                    : "conservative");
-      EXPECT_EQ(run_once(threads, emode), serial);
-    }
-  }
-}
-
-// One straggler source, several victims: node 2's t=0 handler mails
-// nodes 0 and 1, both of which have speculated past the t=4 arrival.
-// Both must roll back at the same barrier (a cascade across shards),
-// and both replays must interleave the straggler correctly.
-TEST(OptimisticEngine, OneStragglerRollsBackMultipleShards) {
-  auto run_once = [](unsigned threads, EngineMode emode, Diag* diag) {
-    Machine machine(Topology{3, 1, 1}, wire4());
-    machine.set_threads(threads);
-    machine.set_engine_mode(emode);
-    RecordingState rec(machine);
-    for (PeId p = 0; p < 2; ++p) {
-      const int base = 10 * (1 + static_cast<int>(p));
-      machine.schedule_at(0.0, p, [&rec, base](Pe& pe) {
-        rec.record(pe, base);
-      });
-      machine.schedule_at(5.0, p, [&rec, base](Pe& pe) {
-        rec.record(pe, base + 1);
-      });
-      machine.schedule_at(6.0, p, [&rec, base](Pe& pe) {
-        rec.record(pe, base + 2);
-      });
-    }
-    machine.schedule_at(0.0, 2, [&rec](Pe& pe) {
-      rec.record(pe, 30);
-      pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 98); });
-      pe.send(1, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
-    });
-    const RunStats stats = machine.run();
-    if (diag != nullptr) {
-      diag->spec_rollbacks = stats.speculation_rollbacks;
-      diag->spec_events = stats.speculated_events;
-    }
-    return std::vector<std::vector<int>>{
-        rec.node_record(0), rec.node_record(1), rec.node_record(2)};
-  };
-
-  const auto serial = run_once(1, EngineMode::kConservative, nullptr);
-  EXPECT_EQ(serial[0], (std::vector<int>{10, 98, 11, 12}));
-  EXPECT_EQ(serial[1], (std::vector<int>{20, 99, 21, 22}));
-  EXPECT_EQ(serial[2], (std::vector<int>{30}));
-
+/// Checks the serial record against `expected`, then every parallel
+/// configuration against the serial run.
+void expect_parallel_matches_serial(
+    Topology topology, Schedule schedule,
+    const std::vector<std::vector<int>>& expected) {
+  const auto serial =
+      run_recorded(topology, schedule, 1, WindowMode::kAdaptive);
+  EXPECT_EQ(serial.first, expected);
   for (const unsigned threads : {2u, 3u}) {
-    SCOPED_TRACE(threads);
-    Diag diag;
-    EXPECT_EQ(run_once(threads, EngineMode::kOptimistic, &diag), serial);
-    // Both victim shards speculated past t=4 and must have rolled back.
-    EXPECT_GE(diag.spec_rollbacks, 2u);
-    EXPECT_GE(diag.spec_events, 4u);
+    for (const WindowMode mode :
+         {WindowMode::kFixed, WindowMode::kAdaptive}) {
+      SCOPED_TRACE(threads);
+      SCOPED_TRACE(mode == WindowMode::kFixed ? "fixed" : "adaptive");
+      EXPECT_EQ(run_recorded(topology, schedule, threads, mode), serial);
+    }
   }
 }
 
-// Rollbacks under work stealing: the steal-heavy skewed topology from
-// the ParallelWindow suite, run optimistically.  Which thread executes
-// (or re-executes) a shard must not leak into the committed schedule.
-TEST(OptimisticEngine, RollbackUnderStealingMatchesSerial) {
-  acic::stats::ExperimentSpec spec;
-  spec.graph = acic::stats::GraphKind::kRmat;
-  spec.scale = 9;
-  spec.edge_factor = 8;
-  spec.seed = 5;
-  spec.nodes = 12;
-  const Csr csr = acic::stats::build_graph(spec);
-  const Observed serial = run_solver_observed("acic", spec, csr, 1);
-  for (const WindowMode mode :
-       {WindowMode::kFixed, WindowMode::kAdaptive}) {
-    Diag diag;
-    const Observed parallel =
-        run_solver_observed("acic", spec, csr, 4, mode, &diag,
-                            EngineMode::kOptimistic);
-    expect_identical(serial, parallel,
-                     mode == WindowMode::kFixed ? "fixed" : "adaptive");
-    EXPECT_EQ(diag.threads_used, 4u);
-    // Real solver, real traffic: speculation must have engaged and some
-    // of it must have been wrong.
-    EXPECT_GT(diag.spec_events, 0u);
-    EXPECT_GT(diag.spec_rollbacks, 0u);
-    EXPECT_GT(diag.spec_commits, 0u);
-  }
+// Node 0 has local events at t=0, 5 and 6; node 1's t=0 handler mails
+// node 0 with a t=4 arrival.  Node 0's window off the t=0 minima ends
+// at 4, so the mail must merge before node 0 runs t=5 and t=6.
+TEST(ParallelWindow, MailBelowLaterLocalEventsMatchesSerial) {
+  expect_parallel_matches_serial(
+      Topology{2, 1, 1},
+      [](Machine& machine, NodeRecorder& rec) {
+        machine.schedule_at(0.0, 0, [&rec](Pe& pe) { rec.record(pe, 10); });
+        machine.schedule_at(5.0, 0, [&rec](Pe& pe) { rec.record(pe, 11); });
+        machine.schedule_at(6.0, 0, [&rec](Pe& pe) { rec.record(pe, 12); });
+        machine.schedule_at(0.0, 1, [&rec](Pe& pe) {
+          rec.record(pe, 20);
+          pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
+        });
+      },
+      {{10, 99, 11, 12}, {20}});
 }
 
-// The registry-wide sweep: every solver, threads {1, 2, 4}, both engine
-// modes, against the serial schedule.  delta_stepping_2d registers an
-// unsupported hook (its state owner and edge relaxers live in different
-// grid cells), so its optimistic runs must downgrade — visibly, as zero
-// speculated events — and every supported solver must actually
-// speculate somewhere in the sweep.
-TEST(OptimisticEngine, EverySolverMatchesSerialInBothEngineModes) {
-  acic::stats::ExperimentSpec spec;
-  spec.graph = acic::stats::GraphKind::kRandom;
-  spec.scale = 10;
-  spec.edge_factor = 8;
-  spec.seed = 1;
-  spec.nodes = 4;
-  const Csr csr = acic::stats::build_graph(spec);
-  for (const std::string& solver : acic::sssp::solver_names()) {
-    const Observed serial = run_solver_observed(solver, spec, csr, 1);
-    std::uint64_t spec_events = 0;
-    for (const unsigned threads : {2u, 4u}) {
-      for (const EngineMode emode :
-           {EngineMode::kConservative, EngineMode::kOptimistic}) {
-        const bool optimistic = emode == EngineMode::kOptimistic;
-        Diag diag;
-        const Observed parallel =
-            run_solver_observed(solver, spec, csr, threads,
-                                WindowMode::kAdaptive, &diag, emode);
-        expect_identical(serial, parallel,
-                         solver + " threads=" + std::to_string(threads) +
-                             (optimistic ? " optimistic" : " conservative"));
-        if (!optimistic) {
-          // Conservative runs never speculate, whatever is registered.
-          EXPECT_EQ(diag.spec_events, 0u) << solver;
-          EXPECT_EQ(diag.ckpt_bytes, 0u) << solver;
+// The mail's arrival ties with a node-0 local event at exactly the
+// window limit (t=4, and 4 is not < 4).  The composite key breaks the
+// tie by creating node: the local event (node 0) runs first.
+TEST(ParallelWindow, MailTiedWithLocalEventAtWindowLimitMatchesSerial) {
+  expect_parallel_matches_serial(
+      Topology{2, 1, 1},
+      [](Machine& machine, NodeRecorder& rec) {
+        machine.schedule_at(0.0, 0, [&rec](Pe& pe) { rec.record(pe, 10); });
+        machine.schedule_at(4.0, 0, [&rec](Pe& pe) { rec.record(pe, 11); });
+        machine.schedule_at(0.0, 1, [&rec](Pe& pe) {
+          rec.record(pe, 20);
+          pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
+        });
+      },
+      {{10, 11, 99}, {20}});
+}
+
+// One sender, two receiving shards: node 2's t=0 handler mails nodes 0
+// and 1, and both have local events after the t=4 arrival.  Both
+// merges happen at the same barrier.
+TEST(ParallelWindow, OneSenderMailsTwoShardsMatchesSerial) {
+  expect_parallel_matches_serial(
+      Topology{3, 1, 1},
+      [](Machine& machine, NodeRecorder& rec) {
+        for (PeId p = 0; p < 2; ++p) {
+          const int base = 10 * (1 + static_cast<int>(p));
+          machine.schedule_at(0.0, p, [&rec, base](Pe& pe) {
+            rec.record(pe, base);
+          });
+          machine.schedule_at(5.0, p, [&rec, base](Pe& pe) {
+            rec.record(pe, base + 1);
+          });
+          machine.schedule_at(6.0, p, [&rec, base](Pe& pe) {
+            rec.record(pe, base + 2);
+          });
         }
-        spec_events += diag.spec_events;
-      }
-    }
-    if (solver == "sequential" || solver == "delta_stepping_2d") {
-      EXPECT_EQ(spec_events, 0u) << solver;
-    } else {
-      EXPECT_GT(spec_events, 0u) << solver;
-    }
-  }
+        machine.schedule_at(0.0, 2, [&rec](Pe& pe) {
+          rec.record(pe, 30);
+          pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 98); });
+          pe.send(1, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
+        });
+      },
+      {{10, 98, 11, 12}, {20, 99, 21, 22}, {30}});
 }
 
 void expect_same_edges(const EdgeList& a, const EdgeList& b) {

@@ -1,11 +1,17 @@
 // Unit tests for src/util: RNG determinism/quality, options parsing,
-// summary statistics and the table printer.
+// summary statistics and the table printer; plus the strict option
+// checks the bench harnesses build on it (bench/bench_common.hpp).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "bench/bench_common.hpp"
 #include "src/util/options.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
@@ -120,6 +126,74 @@ TEST(Options, CommandLineOverridesEnvironment) {
   Options opts(3, const_cast<char**>(argv));
   EXPECT_EQ(opts.get_int("ut-env-key2", 0), 456);
   ::unsetenv("ACIC_UT_ENV_KEY2");
+}
+
+TEST(Options, KeysListsCommandLineKeysOnly) {
+  ::setenv("ACIC_UT_ENV_ONLY", "1", 1);
+  const char* argv[] = {"prog", "pos", "--scale", "18", "--p-tram=0.5",
+                        "--flag"};
+  Options opts(6, const_cast<char**>(argv));
+  // Sorted, positionals excluded, and the environment default is
+  // visible through has() but not listed.
+  EXPECT_EQ(opts.keys(),
+            (std::vector<std::string>{"flag", "p-tram", "scale"}));
+  EXPECT_TRUE(opts.has("ut-env-only"));
+  ::unsetenv("ACIC_UT_ENV_ONLY");
+}
+
+TEST(BenchOptions, UnknownKeysExitTwoNamingEachKey) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog", "--engine-mode", "optimistic", "--scale",
+                        "16", "--enigne-mode=x"};
+  Options opts(6, const_cast<char**>(argv));
+  EXPECT_EXIT(acic::bench::reject_unknown_options(opts, {"scale"}, "prog"),
+              ::testing::ExitedWithCode(2),
+              "prog: unknown option\\(s\\): --engine-mode --enigne-mode");
+  // Accepted keys pass, and environment defaults are never checked.
+  ::setenv("ACIC_UT_UNLISTED", "1", 1);
+  acic::bench::reject_unknown_options(
+      opts, {"scale", "engine-mode", "enigne-mode"}, "prog");
+  ::unsetenv("ACIC_UT_UNLISTED");
+}
+
+TEST(BenchOptions, StrictUnsignedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Options opts;
+  opts.set("trials", "5");
+  EXPECT_EQ(acic::bench::option_uint(opts, "trials", 3, 1), 5u);
+  EXPECT_EQ(acic::bench::option_uint(opts, "missing", 3, 1), 3u);
+  opts.set("seed", "18446744073709551615");
+  EXPECT_EQ(acic::bench::option_uint(
+                opts, "seed", 1, 0, std::numeric_limits<std::uint64_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"abc", "", "-1", "1.5", "12x", " 7", "+3"}) {
+    SCOPED_TRACE(bad);
+    opts.set("scale", bad);
+    EXPECT_EXIT(acic::bench::option_uint(opts, "scale", 16),
+                ::testing::ExitedWithCode(2), "--scale: invalid value");
+  }
+  opts.set("nodes", "4294967296");  // one past the default uint32 bound
+  EXPECT_EXIT(acic::bench::option_uint(opts, "nodes", 2, 1),
+              ::testing::ExitedWithCode(2), "--nodes: invalid value");
+  opts.set("trials", "0");
+  EXPECT_EXIT(acic::bench::option_uint(opts, "trials", 3, 1),
+              ::testing::ExitedWithCode(2), "--trials: must be >= 1");
+}
+
+TEST(BenchOptions, StrictNonNegativeDoubles) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Options opts;
+  opts.set("max-regress", "0.25");
+  EXPECT_DOUBLE_EQ(
+      acic::bench::option_nonneg_double(opts, "max-regress", 0.5), 0.25);
+  EXPECT_DOUBLE_EQ(acic::bench::option_nonneg_double(opts, "missing", 0.5),
+                   0.5);
+  for (const char* bad : {"abc", "", "-0.1", "0.2x", "nan", "inf", " 1"}) {
+    SCOPED_TRACE(bad);
+    opts.set("max-regress", bad);
+    EXPECT_EXIT(acic::bench::option_nonneg_double(opts, "max-regress", 0.5),
+                ::testing::ExitedWithCode(2), "--max-regress: invalid value");
+  }
 }
 
 TEST(Stats, MeanAndStddev) {
