@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -179,22 +180,25 @@ inline void reject_unknown_options(
   std::exit(2);
 }
 
+/// The fig7/fig8/fig9 comparison options.  Numbers are parsed strictly
+/// (option_uint): a non-numeric value or `--trials 0` exits 2 naming
+/// the option instead of running zero trials.
 inline stats::CompareSpec compare_spec_from_options(
     const util::Options& opts) {
   stats::CompareSpec spec;
   spec.scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", spec.scale));
+      static_cast<std::uint32_t>(option_uint(opts, "scale", spec.scale));
   spec.edge_factor = static_cast<std::uint32_t>(
-      opts.get_int("edge-factor", spec.edge_factor));
-  spec.trials =
-      static_cast<std::uint32_t>(opts.get_int("trials", spec.trials));
-  spec.base_seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1));
+      option_uint(opts, "edge-factor", spec.edge_factor));
+  spec.trials = static_cast<std::uint32_t>(
+      option_uint(opts, "trials", spec.trials, 1));
+  spec.base_seed = option_uint(opts, "seed", spec.base_seed, 0,
+                               std::numeric_limits<std::uint64_t>::max());
   if (opts.has("nodes")) {
     spec.nodes_list = parse_list(opts.get("nodes", ""), "nodes");
   }
   spec.buffer_override =
-      static_cast<std::size_t>(opts.get_int("buffer", 0));
+      static_cast<std::size_t>(option_uint(opts, "buffer", 0));
   spec.full_scale_nodes = opts.get_bool("full-nodes", false);
   return spec;
 }
@@ -223,9 +227,8 @@ inline void write_csv(const util::Table& table, const util::Options& opts,
 }
 
 /// One divergence between two supposedly identical runs, for the
-/// bit-identity gates (cross-thread, cross-window-mode, cross-storage,
-/// repeat-trial): the simulated-side field that differed
-/// and both values, pre-rendered.
+/// bit-identity gates (cross-thread, cross-storage, repeat-trial): the
+/// simulated-side field that differed and both values, pre-rendered.
 struct FieldDiff {
   const char* field;
   std::string a;
@@ -236,7 +239,7 @@ struct FieldDiff {
 /// of a failure knows what was deliberately NOT compared — the
 /// host-side diagnostic fields the comparison excludes (they describe
 /// how the host executed the schedule, not the schedule itself, and
-/// legitimately vary with threads / window mode), then exits 4.
+/// legitimately vary with threads), then exits 4.
 [[noreturn]] inline void die_divergence(const std::string& context,
                                         const std::vector<FieldDiff>& diffs) {
   for (const FieldDiff& d : diffs) {
@@ -248,6 +251,65 @@ struct FieldDiff {
                "comparison: threads_used, windows, window_merges, "
                "shard_steals\n");
   std::exit(4);
+}
+
+/// `"events_per_sec"` of the first results entry for (solver, scale,
+/// threads) in a BENCH_wallclock.json `text`, or nullopt if it has none.
+/// The search starts at the last top-level `"results"` array, so an
+/// embedded `pre_pr` record is never matched.  With --reorder, identity
+/// entries are emitted first per (solver, scale, threads), so the first
+/// match is always an identity-reorder entry.
+inline std::optional<double> find_events_per_sec(const std::string& text,
+                                                 const std::string& solver,
+                                                 std::uint32_t scale,
+                                                 unsigned threads) {
+  std::size_t from = text.rfind("\"results\": [");
+  if (from == std::string::npos) from = 0;
+  const std::string key = "\"solver\": \"" + solver +
+                          "\", \"scale\": " + std::to_string(scale) +
+                          ", \"threads\": " + std::to_string(threads) + ",";
+  const std::size_t at = text.find(key, from);
+  if (at == std::string::npos) return std::nullopt;
+  const std::string field = "\"events_per_sec\": ";
+  const std::size_t f = text.find(field, at);
+  if (f == std::string::npos) return std::nullopt;
+  return std::strtod(text.c_str() + f + field.size(), nullptr);
+}
+
+/// The wallclock regression gate: events/sec of (solver, scale, threads)
+/// in the `current` run against the `baseline` file (named
+/// `baseline_name` in messages).  Returns 0 when within `tolerance`, 3
+/// on a regression, and 2 when either side has no entry for the key —
+/// a gate with nothing to compare must not pass.
+inline int check_events_per_sec(const std::string& baseline,
+                                const std::string& baseline_name,
+                                const std::string& current,
+                                const std::string& solver,
+                                std::uint32_t scale, unsigned threads,
+                                double tolerance) {
+  const std::optional<double> before =
+      find_events_per_sec(baseline, solver, scale, threads);
+  const std::optional<double> after =
+      find_events_per_sec(current, solver, scale, threads);
+  if (!before || !after) {
+    std::fprintf(stderr,
+                 "wallclock: --check: %s has no entry for solver=%s "
+                 "scale=%u threads=%u\n",
+                 !before ? baseline_name.c_str() : "this run",
+                 solver.c_str(), scale, threads);
+    return 2;
+  }
+  if (*after < *before * (1.0 - tolerance)) {
+    std::fprintf(stderr,
+                 "wallclock: %s events/sec regressed %.1f%% at scale %u "
+                 "(%.0f -> %.0f, tolerance %.0f%%)\n",
+                 solver.c_str(), 100.0 * (1.0 - *after / *before), scale,
+                 *before, *after, tolerance * 100.0);
+    return 3;
+  }
+  std::printf("regression check ok: %s %.0f -> %.0f events/sec\n",
+              solver.c_str(), *before, *after);
+  return 0;
 }
 
 /// Process-wide resource high-water marks, for per-config reporting next

@@ -30,7 +30,8 @@
 //       --expect-checksum <hex from memsolve>
 //
 // All modes print MAX_RSS_BYTES= / MAJOR_FAULTS= lines for the scripts
-// around them.
+// around them.  Each mode accepts only its own options: any other
+// `--key` exits 2 naming it.
 
 #include <chrono>
 #include <cinttypes>
@@ -156,9 +157,6 @@ int solve_and_report(const util::Options& opts, const graph::Csr& csr,
   spec.nodes = static_cast<std::uint32_t>(opts.get_int("nodes", 2));
   runtime::Machine machine(spec.topology());
   machine.set_threads(static_cast<unsigned>(opts.get_int("threads", 1)));
-  machine.set_window_mode(opts.get("window-mode", "adaptive") == "fixed"
-                              ? runtime::WindowMode::kFixed
-                              : runtime::WindowMode::kAdaptive);
   const auto source =
       static_cast<graph::VertexId>(opts.get_int("source", 0));
   sssp::SolverOptions sopts;
@@ -256,9 +254,30 @@ int main(int argc, char** argv) {
   util::Options opts;
   opts.parse(argc, argv);
   const std::string mode = opts.get("mode", "build");
-  if (mode == "build") return run_build(opts);
-  if (mode == "solve") return run_solve(opts);
-  if (mode == "memsolve") return run_memsolve(opts);
+  if (mode == "build") {
+    bench::reject_unknown_options(
+        opts,
+        {"mode", "file", "graph", "scale", "edge-factor", "seed",
+         "chunk-edges", "threads", "tmp-dir"},
+        "ooc_smoke --mode build");
+    return run_build(opts);
+  }
+  if (mode == "solve") {
+    bench::reject_unknown_options(
+        opts,
+        {"mode", "file", "prefetch", "budget-mb", "solver", "nodes",
+         "threads", "source", "expect-checksum"},
+        "ooc_smoke --mode solve");
+    return run_solve(opts);
+  }
+  if (mode == "memsolve") {
+    bench::reject_unknown_options(
+        opts,
+        {"mode", "graph", "scale", "edge-factor", "seed", "threads",
+         "solver", "nodes", "source", "expect-checksum"},
+        "ooc_smoke --mode memsolve");
+    return run_memsolve(opts);
+  }
   std::fprintf(stderr,
                "ooc_smoke: --mode must be build, solve or memsolve "
                "(got '%s')\n",

@@ -7,11 +7,12 @@
 //
 //   ./build/bench/wallclock --scales 16,18 --trials 3
 //   ./build/bench/wallclock --scale 18 --threads 1,2,4 --trials 3
-//   ./build/bench/wallclock --scale 16 --threads 1,4 --window-mode fixed,adaptive
 //   ./build/bench/wallclock --scale 16 --reorder identity,degree_desc,bfs
 //   ./build/bench/wallclock --scale 16 --storage mem,mmap
 //   ./build/bench/wallclock --scale 16 --trials 3 --check BENCH_wallclock.json
-//   (--check exits 3 on a >25% events/sec regression vs the checked file)
+//   (--check exits 3 on a >25% events/sec regression vs the checked file,
+//   and 2 when either file has no entry for the checked solver, scale
+//   and thread count)
 //
 // --storage mem,mmap additionally runs every (identity-reorder) config
 // against an mmap-backed view of the same graph: the CSR is written to
@@ -26,20 +27,18 @@
 // cross-arm attribution belongs to ooc_smoke's per-process phases; the
 // numbers here are honest upper bounds).
 //
-// Per (solver, scale, reorder, threads, window-mode) the harness runs
-// `trials` identical queries on fresh machines and reports best/mean
-// wall seconds, events/sec and tasks/sec (scheduler throughput), plus
-// the simulated-side invariants (sim time, update counts, an FNV-1a
+// Per (solver, scale, reorder, threads) the harness runs `trials`
+// identical queries on fresh machines and reports best/mean wall
+// seconds, events/sec and tasks/sec (scheduler throughput), plus the
+// simulated-side invariants (sim time, update counts, an FNV-1a
 // checksum over the distance bits) that must stay bit-identical across
-// host-side optimizations — including across `--threads` values and
-// across `--window-mode fixed,adaptive`: the parallel engine is
-// required to reproduce the serial schedule exactly in either mode, and
-// the harness exits 4 (naming the diverging field and both values) if
-// any thread count, window mode, or repeat trial diverges.  Host-side
-// engine diagnostics (effective thread count after the min(threads,
-// nodes) clamp, conservative window count, merge count, steals) ride
-// along per entry; adaptive mode's value shows up as a lower window
-// count at equal checksums.
+// host-side optimizations — including across `--threads` values: the
+// parallel engine is required to reproduce the serial schedule exactly,
+// and the harness exits 4 (naming the diverging field and both values)
+// if any thread count or repeat trial diverges.  Host-side engine
+// diagnostics (effective thread count after the min(threads, nodes)
+// clamp, conservative window count, merge count, steals) ride along
+// per entry.
 //
 // COST gate (after "COST of Graph Processing Using Actors"): every
 // config additionally reports `speedup_vs_sequential` against the tuned
@@ -104,7 +103,7 @@ struct Sample {
   std::uint64_t cycles = 0;
   std::uint64_t dist_checksum = 0;
   /// Host-side engine diagnostics — reported, never diffed: the thread
-  /// clamp, window policy, and steal schedule legitimately vary them.
+  /// clamp and steal schedule legitimately vary them.
   unsigned threads_used = 1;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
@@ -192,7 +191,6 @@ using bench::die_divergence;
 Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
                const graph::Csr& csr, const graph::Remap* remap,
                std::uint32_t trials, unsigned threads,
-               runtime::WindowMode wmode,
                graph::ooc::FrontierFeed* feed = nullptr) {
   Sample sample;
   sample.wall_best_s = 1e300;
@@ -201,7 +199,6 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
   for (std::uint32_t trial = 0; trial < trials; ++trial) {
     runtime::Machine machine(spec.topology());
     machine.set_threads(threads);
-    machine.set_window_mode(wmode);
     sssp::SolverOptions opts;
     opts.storage.frontier_feed = feed;
     const auto start = std::chrono::steady_clock::now();
@@ -315,31 +312,6 @@ std::string extract_object(const std::string& text, const std::string& key) {
   return {};
 }
 
-///// Finds `"events_per_sec": <num>` inside the results entry for
-/// (solver, scale, threads); falls back to the pre-threads entry format
-/// (no "threads" field) so old baseline files stay checkable.  The
-/// search starts at the last top-level `"results"` array so an embedded
-/// `pre_pr` record (whose entries now carry the same fields) is never
-/// matched.  With --reorder, identity entries are emitted first per
-/// (solver, scale, threads), so the first match — and thus the
-/// regression gate — always compares identity against identity.  0.0
-/// if absent.
-double find_events_per_sec(const std::string& text, const std::string& solver,
-                           std::uint32_t scale, unsigned threads) {
-  std::size_t from = text.rfind("\"results\": [");
-  if (from == std::string::npos) from = 0;
-  const std::string base_key =
-      "\"solver\": \"" + solver + "\", \"scale\": " + std::to_string(scale);
-  std::size_t at = text.find(
-      base_key + ", \"threads\": " + std::to_string(threads), from);
-  if (at == std::string::npos) at = text.find(base_key, from);
-  if (at == std::string::npos) return 0.0;
-  const std::string field = "\"events_per_sec\": ";
-  const std::size_t f = text.find(field, at);
-  if (f == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + f + field.size(), nullptr);
-}
-
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -362,8 +334,8 @@ int main(int argc, char** argv) {
   bench::reject_unknown_options(
       opts,
       {"scales", "scale", "trials", "solvers", "out", "threads",
-       "window-mode", "storage", "reorder", "graph", "edge-factor", "seed",
-       "nodes", "check", "check-solver", "max-regress"},
+       "storage", "reorder", "graph", "edge-factor", "seed", "nodes",
+       "check", "check-solver", "max-regress"},
       "wallclock");
 
   std::vector<std::uint32_t> scales{16};
@@ -386,25 +358,6 @@ int main(int argc, char** argv) {
   if (opts.has("threads")) {
     threads_list =
         bench::parse_threads_list(opts.get("threads", ""), "threads");
-  }
-  // Window-policy arms for the multi-threaded runs.  1-thread runs use
-  // the serial loop (no windows), so only one arm is emitted for them,
-  // labeled "serial".
-  std::vector<runtime::WindowMode> window_modes;
-  for (const std::string& name :
-       split_csv(opts.get("window-mode", "adaptive"))) {
-    if (name == "fixed") {
-      window_modes.push_back(runtime::WindowMode::kFixed);
-    } else if (name == "adaptive") {
-      window_modes.push_back(runtime::WindowMode::kAdaptive);
-    } else {
-      std::fprintf(stderr, "wallclock: unknown --window-mode '%s'\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-  if (window_modes.empty()) {
-    window_modes.push_back(runtime::WindowMode::kAdaptive);
   }
 
   // Storage backends.  "mem" is the in-memory Csr the harness always
@@ -514,8 +467,7 @@ int main(int argc, char** argv) {
     for (std::size_t m = 0; m < reorder_modes.size(); ++m) {
       const Sample s =
           run_one("sequential", spec, remaps[m] ? remaps[m]->csr() : csr,
-                  remaps[m].get(), trials, 1,
-                  runtime::WindowMode::kAdaptive);
+                  remaps[m].get(), trials, 1);
       seq_wall[m] = s.wall_best_s;
       if (reorder_modes[m] == graph::ReorderMode::kIdentity) {
         seq_identity_dist = s.dist;
@@ -568,15 +520,8 @@ int main(int argc, char** argv) {
             storage_modes.size() > 1 ? (is_mmap ? "mmap " : "mem  ") : "";
         double wall_1thread = -1.0;
         for (const unsigned threads : threads_list) {
-         for (const runtime::WindowMode wmode : window_modes) {
-          // The serial loop ignores the window policy: emit one arm.
-          if (threads == 1 && wmode != window_modes.front()) continue;
-          const char* wmode_name =
-              threads == 1 ? "serial"
-              : wmode == runtime::WindowMode::kFixed ? "fixed"
-                                                     : "adaptive";
           Sample s = run_one(solver, spec, sweep_csr, remap, trials,
-                             threads, wmode, feed.get());
+                             threads, feed.get());
           if (!have_reference) {
             reference = std::move(s);
             have_reference = true;
@@ -603,9 +548,8 @@ int main(int argc, char** argv) {
             if (!diffs.empty()) {
               die_divergence(solver + " reorder=" + mode_name +
                                  " storage=" + storage + " at " +
-                                 std::to_string(threads) + " threads (" +
-                                 wmode_name +
-                                 ") vs first thread count/window mode",
+                                 std::to_string(threads) +
+                                 " threads vs first thread count",
                              diffs);
             }
             // The mmap arm additionally pins elementwise distance
@@ -648,8 +592,8 @@ int main(int argc, char** argv) {
           const double vs_seq = seq_wall[m] / cur.wall_best_s;
           if (first_beats.empty() && solver != "sequential" && !is_mmap &&
               vs_seq > 1.0) {
-            first_beats = solver + " t=" + std::to_string(threads) + " " +
-                          wmode_name + " reorder=" + mode_name;
+            first_beats = solver + " t=" + std::to_string(threads) +
+                          " reorder=" + mode_name;
             first_beats_speedup = vs_seq;
           }
           const double events_per_sec =
@@ -657,11 +601,11 @@ int main(int argc, char** argv) {
           const double tasks_per_sec =
               static_cast<double>(cur.tasks) / cur.wall_best_s;
           std::printf(
-              "  %-20s %s%s t=%u(eff %u) %-8s wall=%.3fs (best of %u)  "
+              "  %-20s %s%s t=%u(eff %u) wall=%.3fs (best of %u)  "
               "%.3gM events/s  speedup=%s  vs_seq=%.2f  windows=%llu  "
               "sim=%.0fus  checksum=%016" PRIx64 "\n",
               solver.c_str(), multi_mode ? mode_name : "", storage_tag,
-              threads, cur.threads_used, wmode_name, cur.wall_best_s,
+              threads, cur.threads_used, cur.wall_best_s,
               trials, events_per_sec * 1e-6, speedup_text, vs_seq,
               static_cast<unsigned long long>(cur.windows),
               cur.sim_time_us, cur.dist_checksum);
@@ -672,7 +616,6 @@ int main(int argc, char** argv) {
           std::snprintf(
               entry, sizeof(entry),
               "    {\"solver\": \"%s\", \"scale\": %u, \"threads\": %u, "
-              "\"window_mode\": \"%s\", "
               "\"threads_effective\": %u, "
               "\"reorder\": \"%s\", \"storage\": \"%s\", "
               "\"max_rss_bytes\": %llu, \"major_faults\": %llu, "
@@ -692,8 +635,8 @@ int main(int argc, char** argv) {
               "\"messages_intra_process\": %llu, "
               "\"bytes_intra_process\": %llu, "
               "\"dist_checksum\": \"%016" PRIx64 "\"}",
-              solver.c_str(), scale, threads, wmode_name,
-              cur.threads_used, mode_name, storage.c_str(),
+              solver.c_str(), scale, threads, cur.threads_used, mode_name,
+              storage.c_str(),
               static_cast<unsigned long long>(rss.max_rss_bytes),
               static_cast<unsigned long long>(rss.major_faults),
               cur.wall_best_s,
@@ -717,7 +660,6 @@ int main(int argc, char** argv) {
               cur.dist_checksum);
           if (!results.empty()) results += ",\n";
           results += entry;
-         }  // window modes
         }
         }  // storage arms
         if (multi_mode) {
@@ -782,29 +724,17 @@ int main(int argc, char** argv) {
   // Regression gate: compare events/sec for --check-solver at the first
   // measured scale against a previously committed BENCH_wallclock.json.
   if (opts.has("check")) {
-    const std::string baseline = slurp(opts.get("check", ""));
+    const std::string baseline_path = opts.get("check", "");
+    const std::string baseline = slurp(baseline_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "wallclock: cannot read baseline %s\n",
-                   opts.get("check", "").c_str());
+                   baseline_path.c_str());
       return 2;
     }
-    const std::string solver = opts.get("check-solver", "acic");
-    const std::uint32_t scale = scales.front();
-    const unsigned check_threads = threads_list.front();
-    const double before =
-        find_events_per_sec(baseline, solver, scale, check_threads);
-    const double after =
-        find_events_per_sec(json, solver, scale, check_threads);
-    if (before > 0.0 && after < before * (1.0 - tolerance)) {
-      std::fprintf(stderr,
-                   "wallclock: %s events/sec regressed %.1f%% at scale %u "
-                   "(%.0f -> %.0f, tolerance %.0f%%)\n",
-                   solver.c_str(), 100.0 * (1.0 - after / before), scale,
-                   before, after, tolerance * 100.0);
-      return 3;
-    }
-    std::printf("regression check ok: %s %.0f -> %.0f events/sec\n",
-                solver.c_str(), before, after);
+    const int status = bench::check_events_per_sec(
+        baseline, baseline_path, json, opts.get("check-solver", "acic"),
+        scales.front(), threads_list.front(), tolerance);
+    if (status != 0) return status;
   }
 
   std::ofstream out(out_path, std::ios::binary);

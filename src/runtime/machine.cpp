@@ -90,9 +90,8 @@ struct alignas(64) Machine::Shard {
   /// current_time_ (identical inside a task: the executing PE's clock
   /// is always >= the current event's time on both paths).
   SimTime now = 0.0;
-  /// Exclusive end of this shard's current window.  Fixed mode: global
-  /// min + lookahead for every shard.  Adaptive mode: min over OTHER
-  /// shards' minima + lookahead, and shrunk on the fly when this shard
+  /// Exclusive end of this shard's current window: min over OTHER
+  /// shards' minima + lookahead, shrunk on the fly when this shard
   /// buffers a cross-node send (a reaction to mail arriving at A cannot
   /// land back here before A + lookahead).
   SimTime window_limit = 0.0;
@@ -101,10 +100,9 @@ struct alignas(64) Machine::Shard {
   /// minimum) + lookahead.  Sends satisfy it by the network model;
   /// cross-node schedule_at inside it is a causality bug (asserted).
   SimTime cross_floor = 0.0;
-  /// Inter-node latency and window mode, copied per run so the send
-  /// hot path never reaches back into the Machine.
+  /// Inter-node latency, copied per run so the send hot path never
+  /// reaches back into the Machine.
   SimTime lookahead = 0.0;
-  bool adaptive = false;
   /// Set when this shard buffered cross-node mail in the current
   /// window; ORed into the shared merge flag after the shard drains.
   bool sent_mail = false;
@@ -322,14 +320,12 @@ void Machine::push_arrival(SimTime time, PeId pe, Task task,
       sh->outbox[dest].push_back(
           Mail{time, seq, pe, charge_recv, std::move(task)});
       sh->sent_mail = true;
-      if (sh->adaptive) {
-        // Feedback bound: a reaction to this mail cannot arrive here
-        // before its delivery plus one more inter-node hop.  Always at
-        // or ahead of the execution point (arrival >= event time +
-        // lookahead), so the shrink never invalidates executed events.
-        const SimTime feedback = time + sh->lookahead;
-        if (feedback < sh->window_limit) sh->window_limit = feedback;
-      }
+      // Feedback bound: a reaction to this mail cannot arrive here
+      // before its delivery plus one more inter-node hop.  Always at or
+      // ahead of the execution point (arrival >= event time +
+      // lookahead), so the shrink never invalidates executed events.
+      const SimTime feedback = time + sh->lookahead;
+      if (feedback < sh->window_limit) sh->window_limit = feedback;
     }
     return;
   }
@@ -417,7 +413,7 @@ void Machine::handle_exec(const Event& event) {
   // that reports work.
   if (!pe.idle_handlers_.empty()) {
     const SimTime span_start = pe.current_time_;
-    pe.charge(idle_poll_cost_us_);
+    pe.charge(kIdlePollCostUs);
     if (sh != nullptr) {
       ++sh->stats.idle_polls;
     } else {
@@ -495,7 +491,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   // inter-node wire latency (transfer_time = latency + bytes/bandwidth),
   // so no shard can be affected by another sooner than that.
   const SimTime lookahead = network_.latency_inter_node_us;
-  const bool adaptive = window_mode_ == WindowMode::kAdaptive;
   last_threads_used_ = nthreads;
 
   if (par_ == nullptr) par_ = std::make_unique<ParallelState>();
@@ -512,7 +507,6 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     Shard& sh = shards[n];
     sh.now = current_time_;
     sh.lookahead = lookahead;
-    sh.adaptive = adaptive;
     sh.sent_mail = false;
     sh.stats = RunStats{};
     sh.ready_delta = 0;
@@ -657,17 +651,14 @@ RunStats Machine::run_parallel(SimTime time_limit) {
           Shard& sh = shards[s];
           if (sh.heap.empty()) continue;
           if (owner != tid) ++steals;
-          // Fixed window: every shard stops at min1 + lookahead.
-          // Adaptive: shard d stops at (min over OTHER shards) +
-          // lookahead — for everyone but the arg-min shard that equals
-          // the fixed bound; the arg-min shard runs on to min2 +
-          // lookahead.  Safe because no other shard can inject an event
-          // below its own minimum + lookahead, and cascades through
-          // this shard's own sends are cut off by the feedback shrink
-          // in push_arrival.
-          sh.window_limit = adaptive && s == plan.node1
-                                ? plan.min2 + lookahead
-                                : plan.min1 + lookahead;
+          // Shard d stops at (min over OTHER shards) + lookahead: for
+          // everyone but the arg-min shard that is min1 + lookahead; the
+          // arg-min shard runs on to min2 + lookahead.  Safe because no
+          // other shard can inject an event below its own minimum +
+          // lookahead, and cascades through this shard's own sends are
+          // cut off by the feedback shrink in push_arrival.
+          sh.window_limit = s == plan.node1 ? plan.min2 + lookahead
+                                            : plan.min1 + lookahead;
           sh.cross_floor = shard_min[s].v + lookahead;
           tls_shard_ = &sh;
           while (!sh.heap.empty()) {

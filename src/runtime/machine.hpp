@@ -46,14 +46,12 @@
 // order by the composite key above, the merged interleaving is
 // bit-identical to the serial engine's at any thread count.
 //
-// The window width is governed by set_window_mode().  kFixed stops
-// every shard at (global minimum event time) + latency_inter_node_us.
-// kAdaptive (the default) widens per shard: shard d may run to
-// (earliest event time on any OTHER shard) + latency, shrunk on the fly
-// to (earliest cross-node arrival d itself buffered this window) +
-// latency — both bounds are provably conservative (see
-// docs/performance.md for the argument), so sparse cross-node traffic
-// yields windows of hundreds of events instead of one latency sliver.
+// Windows widen per shard: shard d may run to (earliest event time on
+// any OTHER shard) + latency_inter_node_us, shrunk on the fly to
+// (earliest cross-node arrival d itself buffered this window) + latency
+// — both bounds are provably conservative (see docs/performance.md for
+// the argument), so sparse cross-node traffic yields windows of
+// hundreds of events instead of one latency sliver.
 // Shards are claimed by worker threads through per-thread cursors with
 // work stealing; ownership migration cannot perturb results because a
 // shard's event order is fixed by the (time, node, seq) keys alone.
@@ -102,24 +100,13 @@ using IdleHandlerId = std::uint64_t;
 inline constexpr SimTime kNoTimeLimit =
     std::numeric_limits<SimTime>::infinity();
 
-/// Window policy for the parallel engine (serial runs ignore it).
-enum class WindowMode {
-  /// Every window is exactly latency_inter_node_us wide — the original
-  /// conservative schedule.
-  kFixed,
-  /// Per-shard widening to the earliest possible cross-node arrival
-  /// (other shards' minima + latency, tightened by the shard's own
-  /// buffered sends).  Bit-identical to kFixed; strictly fewer windows.
-  kAdaptive,
-};
-
 /// Aggregate statistics for one run() invocation.
 ///
 /// The first block is simulated-side and bit-identical across thread
-/// counts and window modes.  The fields after `hit_time_limit` are
-/// host-side engine diagnostics: they describe how the host executed
-/// the schedule, not the schedule itself, and legitimately vary with
-/// set_threads / set_window_mode (steals additionally vary run to run).
+/// counts.  The fields after `hit_time_limit` are host-side engine
+/// diagnostics: they describe how the host executed the schedule, not
+/// the schedule itself, and legitimately vary with set_threads (steals
+/// additionally vary run to run).
 struct RunStats {
   SimTime end_time_us = 0.0;
   std::uint64_t tasks_executed = 0;
@@ -295,16 +282,9 @@ class Machine {
   }
   unsigned threads() const { return threads_; }
 
-  /// Window policy for parallel runs (see WindowMode).  Both modes are
-  /// bit-identical; kAdaptive (the default) executes fewer, wider
-  /// windows.  Must not be called while run() is executing.
-  void set_window_mode(WindowMode mode) { window_mode_ = mode; }
-  WindowMode window_mode() const { return window_mode_; }
-
   /// Host-side engine diagnostics accumulated across run() calls (the
   /// per-run values live in RunStats).  Windows/merges are deterministic
-  /// for a given (schedule, threads, mode); steals depend on host
-  /// timing.
+  /// for a given (schedule, threads); steals depend on host timing.
   std::uint64_t total_windows() const { return windows_; }
   std::uint64_t total_window_merges() const { return window_merges_; }
   std::uint64_t total_shard_steals() const { return shard_steals_; }
@@ -322,11 +302,6 @@ class Machine {
   std::uint64_t total_messages_sent() const { return messages_sent_; }
   std::uint64_t total_bytes_sent() const { return bytes_sent_; }
   std::uint64_t total_events_processed() const { return events_processed_; }
-
-  /// Overhead charged per idle-handler poll (prevents zero-time idle
-  /// loops; roughly the cost of the runtime scheduler's empty-queue
-  /// check).
-  void set_idle_poll_cost(SimTime us) { idle_poll_cost_us_ = us; }
 
   /// Observability hook: invoked after every executed task and idle
   /// poll with (pe, start_us, end_us, was_idle_poll).  Used by the
@@ -365,6 +340,10 @@ class Machine {
   static constexpr std::uint32_t kRecvBit = 0x40000000u;
   static constexpr std::uint32_t kSlotMask = 0x3fffffffu;
   static constexpr std::uint32_t kNoSlot = kSlotMask;
+  /// Overhead charged per idle-handler poll (prevents zero-time idle
+  /// loops; roughly the cost of the runtime scheduler's empty-queue
+  /// check).
+  static constexpr SimTime kIdlePollCostUs = 0.05;
 
   /// 24-byte POD heap element.  The arrival payload lives in the slot
   /// store; sifting moves integers only.
@@ -445,7 +424,6 @@ class Machine {
   std::uint32_t current_node_ = 0;
   bool running_ = false;  // inside the serial run() loop
   unsigned threads_ = 1;
-  WindowMode window_mode_ = WindowMode::kAdaptive;
   std::unique_ptr<ParallelState> par_;  // lazily built by run_parallel
   /// The shard the calling host thread is executing (null outside
   /// parallel run()); routes pushes/slot ops/stat updates to shard-local
@@ -453,7 +431,6 @@ class Machine {
   static thread_local Shard* tls_shard_;
   IdleHandlerId next_idle_handler_id_ = 1;
   SimTime current_time_ = 0.0;
-  SimTime idle_poll_cost_us_ = 0.05;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -1,6 +1,7 @@
 #include "src/sssp/solver.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/baselines/delta_stepping_2d.hpp"
@@ -148,21 +149,10 @@ SolverRun run_dc(runtime::Machine& machine, const graph::Csr& csr,
 
 SolverRun run_sequential(runtime::Machine& /*machine*/,
                          const graph::Csr& csr, graph::VertexId source,
-                         const SolverOptions& opts) {
+                         const SolverOptions& /*opts*/) {
   baselines::SeqStats stats;
   SolverRun out;
-  if (opts.sequential_method == "dijkstra") {
-    out.sssp.dist = baselines::dijkstra(csr, source, &stats);
-  } else if (opts.sequential_method == "bellman_ford") {
-    out.sssp.dist = baselines::bellman_ford(csr, source, &stats);
-  } else if (opts.sequential_method == "delta_stepping") {
-    out.sssp.dist = baselines::delta_stepping_seq(
-        csr, source, opts.sequential_delta, &stats);
-  } else {
-    ACIC_ASSERT_MSG(false,
-                    "unknown sequential_method (expected dijkstra, "
-                    "bellman_ford or delta_stepping)");
-  }
+  out.sssp.dist = baselines::dijkstra(csr, source, &stats);
   out.sssp.metrics.updates_created = stats.relaxations;
   out.sssp.metrics.updates_processed = stats.relaxations;
   out.sssp.metrics.updates_rejected =
@@ -175,72 +165,57 @@ SolverRun run_sequential(runtime::Machine& /*machine*/,
   return out;
 }
 
+/// A solver: runs one SSSP query on `machine` and returns distances +
+/// telemetry.  Must leave the machine reusable.
+using SolverFn = SolverRun (*)(runtime::Machine&, const graph::Csr&,
+                               graph::VertexId, const SolverOptions&);
+
 struct RegistryEntry {
-  std::string name;
+  const char* name;
   SolverFn fn;
 };
 
-std::vector<RegistryEntry>& solver_registry() {
-  static std::vector<RegistryEntry> entries = [] {
-    std::vector<RegistryEntry> built_ins;
-    auto add = [&built_ins](const char* name, SolverFn fn) {
-      built_ins.push_back(RegistryEntry{name, std::move(fn)});
-    };
-    add("acic", run_acic);
-    add("delta_stepping_dist",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_delta(m, g, s, o, /*two_d=*/false);
-        });
-    add("delta_stepping_2d",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_delta(m, g, s, o, /*two_d=*/true);
-        });
-    add("kla", run_kla);
-    add("distributed_control",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_dc(m, g, s, o, /*use_priority=*/true);
-        });
-    add("async_baseline",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_dc(m, g, s, o, /*use_priority=*/false);
-        });
-    add("sequential", run_sequential);
-    return built_ins;
-  }();
-  return entries;
-}
+/// The built-in solvers, in the order solver_names() reports them.
+constexpr RegistryEntry kSolvers[] = {
+    {"acic", run_acic},
+    {"delta_stepping_dist",
+     [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
+        const SolverOptions& o) {
+       return run_delta(m, g, s, o, /*two_d=*/false);
+     }},
+    {"delta_stepping_2d",
+     [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
+        const SolverOptions& o) {
+       return run_delta(m, g, s, o, /*two_d=*/true);
+     }},
+    {"kla", run_kla},
+    {"distributed_control",
+     [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
+        const SolverOptions& o) {
+       return run_dc(m, g, s, o, /*use_priority=*/true);
+     }},
+    {"async_baseline",
+     [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
+        const SolverOptions& o) {
+       return run_dc(m, g, s, o, /*use_priority=*/false);
+     }},
+    {"sequential", run_sequential},
+};
 
 }  // namespace
 
 std::vector<std::string> solver_names() {
   std::vector<std::string> names;
-  names.reserve(solver_registry().size());
-  for (const RegistryEntry& entry : solver_registry()) {
-    names.push_back(entry.name);
-  }
+  names.reserve(std::size(kSolvers));
+  for (const RegistryEntry& entry : kSolvers) names.push_back(entry.name);
   return names;
 }
 
 bool has_solver(const std::string& name) {
-  for (const RegistryEntry& entry : solver_registry()) {
+  for (const RegistryEntry& entry : kSolvers) {
     if (entry.name == name) return true;
   }
   return false;
-}
-
-void register_solver(const std::string& name, SolverFn fn) {
-  ACIC_ASSERT_MSG(fn != nullptr, "solver function must be callable");
-  for (RegistryEntry& entry : solver_registry()) {
-    if (entry.name == name) {
-      entry.fn = std::move(fn);
-      return;
-    }
-  }
-  solver_registry().push_back(RegistryEntry{name, std::move(fn)});
 }
 
 SolverRun run_solver(const std::string& name, runtime::Machine& machine,
@@ -258,7 +233,7 @@ SolverRun run_solver(const std::string& name, runtime::Machine& machine,
     run.sssp.dist = remap.unmap_distances(run.sssp.dist);
     return run;
   }
-  for (const RegistryEntry& entry : solver_registry()) {
+  for (const RegistryEntry& entry : kSolvers) {
     if (entry.name != name) continue;
     if (opts.registry != nullptr) machine.set_registry(opts.registry);
     SolverRun run = entry.fn(machine, csr, source, opts);

@@ -18,8 +18,8 @@
 // original free functions (core::acic_sssp, baselines::*) remain the
 // precise, fully-typed entry points; the registry adapters call them,
 // so both paths produce identical distances — a property the
-// solver-registry tests pin down.  New algorithms can self-register
-// with register_solver().
+// solver-registry tests pin down.  The registry is a fixed table: a new
+// algorithm joins by adding an entry to the built-in list in solver.cpp.
 //
 // Every adapter builds its partition internally (equal-vertex block by
 // default; balanced-edge or 2-D where the algorithm calls for it) and
@@ -27,7 +27,6 @@
 // callers that only compare solvers never touch per-algorithm types.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,12 +53,6 @@ struct SolverOptions {
   baselines::DeltaConfig delta;
   baselines::KlaConfig kla;
   baselines::DistributedControlConfig dc;
-
-  /// Method for the "sequential" solver: "dijkstra", "bellman_ford" or
-  /// "delta_stepping".
-  std::string sequential_method = "dijkstra";
-  /// Bucket width for sequential delta-stepping (0 = heuristic).
-  double sequential_delta = 0.0;
 
   /// Vertex reordering (src/graph/reorder.hpp): when not kIdentity,
   /// run_solver relabels the graph, maps the source in, runs the solver
@@ -121,18 +114,9 @@ struct SolverRun {
   RunTelemetry telemetry;
 };
 
-/// A registered solver: runs one SSSP query on `machine` and returns
-/// distances + telemetry.  Must leave the machine reusable.
-using SolverFn = std::function<SolverRun(
-    runtime::Machine&, const graph::Csr&, graph::VertexId,
-    const SolverOptions&)>;
-
-/// Registered names, in registration order (built-ins first).
+/// The built-in solver names, in a fixed order.
 std::vector<std::string> solver_names();
 bool has_solver(const std::string& name);
-
-/// Registers (or replaces) a solver under `name`.
-void register_solver(const std::string& name, SolverFn fn);
 
 /// Dispatches to the solver registered under `name`.  Asserts on
 /// unknown names (solver_names() enumerates the valid set).  When

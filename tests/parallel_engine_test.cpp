@@ -1,13 +1,13 @@
-// Determinism contract of the parallel engine: Machine::set_threads and
-// Machine::set_window_mode are wall-clock knobs, never results knobs.
-// Every registered solver must produce bit-identical distances,
-// simulated times, metrics and machine totals at any thread count in
-// either window mode, and the conservative window merge must break
-// timestamp ties exactly like the serial event queue.  The ParallelWindow
-// suite attacks the adaptive widening rule directly: a cross-node send
-// landing exactly on the widened boundary, sparse traffic where adaptive
-// must strictly reduce window count, a steal-heavy skewed topology, and
-// hand-built mail schedules at the window's edges.  The graph builders carry the same contract for their thread parameter.
+// Determinism contract of the parallel engine: Machine::set_threads is
+// a wall-clock knob, never a results knob.  Every built-in solver must
+// produce bit-identical distances, simulated times, metrics and machine
+// totals at any thread count, and the conservative window merge must
+// break timestamp ties exactly like the serial event queue.  The
+// ParallelWindow suite attacks the window-widening rule directly: a
+// cross-node send landing exactly on the widened boundary, sparse
+// traffic that must run in a single window, a steal-heavy skewed
+// topology, and hand-built mail schedules at the window's edges.  The
+// graph builders carry the same contract for their thread parameter.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,7 +35,6 @@ using acic::runtime::Pe;
 using acic::runtime::PeId;
 using acic::runtime::RunStats;
 using acic::runtime::Topology;
-using acic::runtime::WindowMode;
 
 /// Host-side diagnostics that legitimately vary with the engine
 /// configuration (never part of the bit-identical contract).
@@ -66,11 +65,9 @@ struct Observed {
 Observed run_solver_observed(const std::string& solver,
                              const acic::stats::ExperimentSpec& spec,
                              const Csr& csr, unsigned threads,
-                             WindowMode mode = WindowMode::kAdaptive,
                              Diag* diag = nullptr) {
   Machine machine(spec.topology());
   machine.set_threads(threads);
-  machine.set_window_mode(mode);
   acic::sssp::SolverOptions opts;
   const acic::sssp::SolverRun run =
       acic::sssp::run_solver(solver, machine, csr, spec.source, opts);
@@ -128,29 +125,17 @@ TEST(ParallelEngine, EverySolverMatchesSerialAtAnyThreadCount) {
     for (const std::string& solver : acic::sssp::solver_names()) {
       const Observed serial = run_solver_observed(solver, spec, csr, 1);
       for (const unsigned threads : {2u, 4u}) {
-        Diag fixed_diag;
-        Diag adaptive_diag;
-        for (const WindowMode mode :
-             {WindowMode::kFixed, WindowMode::kAdaptive}) {
-          const bool is_fixed = mode == WindowMode::kFixed;
-          const Observed parallel = run_solver_observed(
-              solver, spec, csr, threads, mode,
-              is_fixed ? &fixed_diag : &adaptive_diag);
-          expect_identical(serial, parallel,
-                           solver + " seed=" + std::to_string(seed) +
-                               " threads=" + std::to_string(threads) +
-                               (is_fixed ? " fixed" : " adaptive"));
-        }
-        // Adaptive widening can only merge fixed windows, never split
-        // them, so it never runs more of them.
-        EXPECT_LE(adaptive_diag.windows, fixed_diag.windows)
-            << solver << " seed=" << seed << " threads=" << threads;
+        Diag diag;
+        const Observed parallel =
+            run_solver_observed(solver, spec, csr, threads, &diag);
+        expect_identical(serial, parallel,
+                         solver + " seed=" + std::to_string(seed) +
+                             " threads=" + std::to_string(threads));
         // The sequential baseline never drives the machine, so the
         // parallel engine (and its thread clamp) only engages for the
         // event-driven solvers — visible as a nonzero window count.
-        if (fixed_diag.windows > 0) {
-          EXPECT_EQ(fixed_diag.threads_used, threads);
-          EXPECT_EQ(adaptive_diag.threads_used, threads);
+        if (diag.windows > 0) {
+          EXPECT_EQ(diag.threads_used, threads);
         } else {
           EXPECT_EQ(solver, "sequential");
         }
@@ -165,10 +150,9 @@ TEST(ParallelEngine, EverySolverMatchesSerialAtAnyThreadCount) {
 // the window merge must reproduce that order exactly, not just some
 // deterministic order of its own.
 TEST(ParallelEngine, WindowMergeBreaksTimestampTiesLikeSerial) {
-  auto run_once = [](unsigned threads, WindowMode mode) {
+  auto run_once = [](unsigned threads) {
     Machine machine(Topology{4, 1, 2});
     machine.set_threads(threads);
-    machine.set_window_mode(mode);
     std::vector<int> order;
     // PEs 2..7 live on nodes 1..3; node 0 only receives.
     for (PeId p = 2; p < 8; ++p) {
@@ -185,22 +169,17 @@ TEST(ParallelEngine, WindowMergeBreaksTimestampTiesLikeSerial) {
     return std::pair(order, stats.end_time_us);
   };
 
-  const auto [serial_order, serial_end] =
-      run_once(1, WindowMode::kAdaptive);
+  const auto [serial_order, serial_end] = run_once(1);
   EXPECT_EQ(serial_order.size(), 12u);
   for (const unsigned threads : {2u, 4u}) {
-    for (const WindowMode mode :
-         {WindowMode::kFixed, WindowMode::kAdaptive}) {
-      SCOPED_TRACE(threads);
-      SCOPED_TRACE(mode == WindowMode::kFixed ? "fixed" : "adaptive");
-      const auto [order, end] = run_once(threads, mode);
-      EXPECT_EQ(order, serial_order);
-      EXPECT_EQ(end, serial_end);
-    }
+    SCOPED_TRACE(threads);
+    const auto [order, end] = run_once(threads);
+    EXPECT_EQ(order, serial_order);
+    EXPECT_EQ(end, serial_end);
   }
 }
 
-// --- Adaptive-window suite -------------------------------------------
+// --- Window-widening suite -------------------------------------------
 
 // A cross-node send whose arrival lands *exactly* on the widened window
 // boundary.  Two nodes, one PE each, inter-node latency 4, zero
@@ -220,10 +199,9 @@ TEST(ParallelWindow, CrossNodeArrivalExactlyOnWidenedBoundary) {
 
   // The response task runs on PE 0, so it can record into the same
   // vector as the locally scheduled probes without a cross-shard write.
-  auto run_once = [&net](unsigned threads, WindowMode mode) {
+  auto run_once = [&net](unsigned threads) {
     Machine machine(Topology{2, 1, 1}, net);
     machine.set_threads(threads);
-    machine.set_window_mode(mode);
     std::vector<char> order;
     machine.schedule_at(0.0, 0, [&order](Pe& pe) {
       order.push_back('a');
@@ -237,60 +215,42 @@ TEST(ParallelWindow, CrossNodeArrivalExactlyOnWidenedBoundary) {
     return std::tuple(order, stats.end_time_us, machine.total_windows());
   };
 
-  const auto [serial_order, serial_end, serial_windows] =
-      run_once(1, WindowMode::kAdaptive);
+  const auto [serial_order, serial_end, serial_windows] = run_once(1);
   EXPECT_EQ(std::string(serial_order.begin(), serial_order.end()), "abrc");
   EXPECT_EQ(serial_windows, 0u);  // serial loop runs no windows
-  for (const WindowMode mode :
-       {WindowMode::kFixed, WindowMode::kAdaptive}) {
-    SCOPED_TRACE(mode == WindowMode::kFixed ? "fixed" : "adaptive");
-    const auto [order, end, windows] = run_once(2, mode);
-    EXPECT_EQ(order, serial_order);
-    EXPECT_EQ(end, serial_end);
-    EXPECT_GT(windows, 0u);
-  }
+  const auto [order, end, windows] = run_once(2);
+  EXPECT_EQ(order, serial_order);
+  EXPECT_EQ(end, serial_end);
+  EXPECT_GT(windows, 0u);
 }
 
-// Sparse cross-node traffic is where adaptive widening pays: node 0
+// Sparse cross-node traffic is where window widening pays: node 0
 // carries a chain of local events spaced 10 simulated-us apart (far
-// wider than the 3 us lookahead) and node 1 stays silent.  Fixed mode
-// needs one window per event; adaptive covers the whole run in a
-// single window because no other shard can ever interfere.
+// wider than the 3 us lookahead) and node 1 stays silent.  A window
+// fixed at one lookahead wide would need one window per event; the
+// widened window covers the whole run in one because no other shard
+// can ever interfere.
 TEST(ParallelWindow, AdaptiveStrictlyReducesWindowsOnSparseTraffic) {
-  auto run_once = [](WindowMode mode) {
-    Machine machine(Topology{2, 1, 1});
-    machine.set_threads(2);
-    machine.set_window_mode(mode);
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i) {
-      machine.schedule_at(10.0 * i, 0,
-                          [&order, i](Pe&) { order.push_back(i); });
-    }
-    const RunStats stats = machine.run();
-    EXPECT_EQ(order.size(), 10u);
-    for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-    return std::tuple(stats.end_time_us, stats.windows,
-                      stats.window_merges);
-  };
-
-  const auto [fixed_end, fixed_windows, fixed_merges] =
-      run_once(WindowMode::kFixed);
-  const auto [adaptive_end, adaptive_windows, adaptive_merges] =
-      run_once(WindowMode::kAdaptive);
-  EXPECT_EQ(fixed_end, adaptive_end);
-  EXPECT_EQ(fixed_windows, 10u);    // one 3 us window per event
-  EXPECT_EQ(adaptive_windows, 1u);  // silent peer => unbounded widening
-  EXPECT_LT(adaptive_windows, fixed_windows);
+  Machine machine(Topology{2, 1, 1});
+  machine.set_threads(2);
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) {
+    machine.schedule_at(10.0 * i, 0, [&order, i](Pe&) { order.push_back(i); });
+  }
+  const RunStats stats = machine.run();
+  EXPECT_EQ(order.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(stats.end_time_us, 90.0);
+  EXPECT_EQ(stats.windows, 1u);  // silent peer => unbounded widening
   // No cross-node sends anywhere: every merge phase must be skipped.
-  EXPECT_EQ(fixed_merges, 0u);
-  EXPECT_EQ(adaptive_merges, 0u);
+  EXPECT_EQ(stats.window_merges, 0u);
 }
 
 // Steal-heavy shape: many more nodes than threads with a skewed R-MAT
 // degree distribution, so per-shard work within a window is uneven and
 // threads whose home ranges drain early must steal.  Results must stay
-// bit-identical to serial in both modes, and the clamp must report the
-// requested thread count (12 nodes >= 4 threads).
+// bit-identical to serial, and the clamp must report the requested
+// thread count (12 nodes >= 4 threads).
 TEST(ParallelWindow, StealHeavySkewedTopologyMatchesSerial) {
   acic::stats::ExperimentSpec spec;
   spec.graph = acic::stats::GraphKind::kRmat;
@@ -300,15 +260,10 @@ TEST(ParallelWindow, StealHeavySkewedTopologyMatchesSerial) {
   spec.nodes = 12;
   const Csr csr = acic::stats::build_graph(spec);
   const Observed serial = run_solver_observed("acic", spec, csr, 1);
-  for (const WindowMode mode :
-       {WindowMode::kFixed, WindowMode::kAdaptive}) {
-    Diag diag;
-    const Observed parallel =
-        run_solver_observed("acic", spec, csr, 4, mode, &diag);
-    expect_identical(serial, parallel,
-                     mode == WindowMode::kFixed ? "fixed" : "adaptive");
-    EXPECT_EQ(diag.threads_used, 4u);
-  }
+  Diag diag;
+  const Observed parallel = run_solver_observed("acic", spec, csr, 4, &diag);
+  expect_identical(serial, parallel, "threads=4");
+  EXPECT_EQ(diag.threads_used, 4u);
 }
 
 // The engine clamps nthreads to the node count; RunStats must report
@@ -329,8 +284,8 @@ TEST(ParallelWindow, ThreadCountClampedToNodeCount) {
 // Cross-node mail landing among a shard's own events at the edges of a
 // window: below later local events, tied with a local event at exactly
 // the window limit, and one sender mailing two shards at once.  Each
-// schedule runs at threads {2, 3} in both window modes and must
-// reproduce the serial per-node record exactly.
+// schedule runs at threads {2, 3} and must reproduce the serial
+// per-node record exactly.
 
 /// Per-node record of executed payload values.  A task appends only to
 /// its own node's vector, so shards never share a record.
@@ -365,11 +320,9 @@ using Schedule = void (*)(Machine&, NodeRecorder&);
 /// Runs `schedule` on a fresh wire4 machine; returns the per-node
 /// records and the end time.
 std::pair<std::vector<std::vector<int>>, double> run_recorded(
-    Topology topology, Schedule schedule, unsigned threads,
-    WindowMode mode) {
+    Topology topology, Schedule schedule, unsigned threads) {
   Machine machine(topology, wire4());
   machine.set_threads(threads);
-  machine.set_window_mode(mode);
   NodeRecorder rec(machine);
   schedule(machine, rec);
   const RunStats stats = machine.run();
@@ -381,16 +334,11 @@ std::pair<std::vector<std::vector<int>>, double> run_recorded(
 void expect_parallel_matches_serial(
     Topology topology, Schedule schedule,
     const std::vector<std::vector<int>>& expected) {
-  const auto serial =
-      run_recorded(topology, schedule, 1, WindowMode::kAdaptive);
+  const auto serial = run_recorded(topology, schedule, 1);
   EXPECT_EQ(serial.first, expected);
   for (const unsigned threads : {2u, 3u}) {
-    for (const WindowMode mode :
-         {WindowMode::kFixed, WindowMode::kAdaptive}) {
-      SCOPED_TRACE(threads);
-      SCOPED_TRACE(mode == WindowMode::kFixed ? "fixed" : "adaptive");
-      EXPECT_EQ(run_recorded(topology, schedule, threads, mode), serial);
-    }
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(run_recorded(topology, schedule, threads), serial);
   }
 }
 

@@ -3,7 +3,7 @@
 // adapters call the original entry points, so both paths must produce
 // bit-identical distances and simulated times), observability neutrality
 // (attaching a registry never perturbs a run), cross-solver distance
-// agreement, register_solver, and the unknown-name contract.
+// agreement, and the unknown-name contract.
 
 #include <gtest/gtest.h>
 
@@ -52,6 +52,8 @@ TEST(SolverRegistry, BuiltInNames) {
         << name;
   }
   EXPECT_FALSE(acic::sssp::has_solver("nope"));
+  // The table is fixed: exactly the built-ins, in this order.
+  EXPECT_EQ(names, expected);
 }
 
 // ---- registry-vs-free-function equivalence -----------------------------
@@ -196,55 +198,7 @@ TEST(SolverRegistry, AllSolversAgreeWithDijkstra) {
   }
 }
 
-TEST(SolverRegistry, SequentialMethods) {
-  const Csr csr = test_graph(8, 13);
-  const std::vector<Dist> expected = acic::baselines::dijkstra(csr, 0);
-  Machine machine(Topology::tiny(1));
-  for (const char* method : {"dijkstra", "bellman_ford", "delta_stepping"}) {
-    SolverOptions opts;
-    opts.sequential_method = method;
-    const SolverRun run =
-        acic::sssp::run_solver("sequential", machine, csr, 0, opts);
-    const auto cmp = acic::graph::compare_distances(run.sssp.dist, expected);
-    EXPECT_TRUE(cmp.ok) << method << ": " << cmp.error;
-    EXPECT_GT(run.telemetry.extra("relaxations"), 0.0) << method;
-  }
-}
-
-// ---- registration and error contracts ----------------------------------
-
-TEST(SolverRegistry, RegisterSolverAddsAndReplaces) {
-  const Csr csr = test_graph(6);
-  Machine machine(Topology::tiny(2));
-
-  acic::sssp::register_solver(
-      "test_stub", [](Machine&, const Csr& g, acic::graph::VertexId,
-                      const SolverOptions&) {
-        SolverRun out;
-        out.sssp.dist.assign(g.num_vertices(), 42.0);
-        return out;
-      });
-  EXPECT_TRUE(acic::sssp::has_solver("test_stub"));
-  const SolverRun run =
-      acic::sssp::run_solver("test_stub", machine, csr, 0);
-  EXPECT_DOUBLE_EQ(run.sssp.dist[0], 42.0);
-  EXPECT_EQ(run.telemetry.solver, "test_stub");
-
-  // Re-registering under the same name replaces the entry in place:
-  // the name list gains no duplicate.
-  acic::sssp::register_solver(
-      "test_stub", [](Machine&, const Csr& g, acic::graph::VertexId,
-                      const SolverOptions&) {
-        SolverRun out;
-        out.sssp.dist.assign(g.num_vertices(), 7.0);
-        return out;
-      });
-  const auto names = acic::sssp::solver_names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "test_stub"), 1);
-  EXPECT_DOUBLE_EQ(
-      acic::sssp::run_solver("test_stub", machine, csr, 0).sssp.dist[0],
-      7.0);
-}
+// ---- error contract ----------------------------------------------------
 
 TEST(SolverRegistryDeathTest, UnknownNameAsserts) {
   const Csr csr = test_graph(6);

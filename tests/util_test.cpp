@@ -144,15 +144,16 @@ TEST(Options, KeysListsCommandLineKeysOnly) {
 TEST(BenchOptions, UnknownKeysExitTwoNamingEachKey) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char* argv[] = {"prog", "--engine-mode", "optimistic", "--scale",
-                        "16", "--enigne-mode=x"};
-  Options opts(6, const_cast<char**>(argv));
+                        "16", "--enigne-mode=x", "--window-mode", "fixed"};
+  Options opts(8, const_cast<char**>(argv));
   EXPECT_EXIT(acic::bench::reject_unknown_options(opts, {"scale"}, "prog"),
               ::testing::ExitedWithCode(2),
-              "prog: unknown option\\(s\\): --engine-mode --enigne-mode");
+              "prog: unknown option\\(s\\): --engine-mode --enigne-mode "
+              "--window-mode");
   // Accepted keys pass, and environment defaults are never checked.
   ::setenv("ACIC_UT_UNLISTED", "1", 1);
   acic::bench::reject_unknown_options(
-      opts, {"scale", "engine-mode", "enigne-mode"}, "prog");
+      opts, {"scale", "engine-mode", "enigne-mode", "window-mode"}, "prog");
   ::unsetenv("ACIC_UT_UNLISTED");
 }
 
@@ -194,6 +195,77 @@ TEST(BenchOptions, StrictNonNegativeDoubles) {
     EXPECT_EXIT(acic::bench::option_nonneg_double(opts, "max-regress", 0.5),
                 ::testing::ExitedWithCode(2), "--max-regress: invalid value");
   }
+}
+
+TEST(BenchOptions, CompareSpecParsesStrictly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Options opts;
+  opts.set("scale", "9");
+  opts.set("edge-factor", "4");
+  opts.set("trials", "2");
+  opts.set("seed", "18446744073709551615");
+  opts.set("buffer", "512");
+  const acic::stats::CompareSpec spec =
+      acic::bench::compare_spec_from_options(opts);
+  EXPECT_EQ(spec.scale, 9u);
+  EXPECT_EQ(spec.edge_factor, 4u);
+  EXPECT_EQ(spec.trials, 2u);
+  EXPECT_EQ(spec.base_seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(spec.buffer_override, 512u);
+  for (const char* option :
+       {"scale", "edge-factor", "trials", "seed", "buffer"}) {
+    SCOPED_TRACE(option);
+    Options bad = opts;
+    bad.set(option, "abc");
+    EXPECT_EXIT(acic::bench::compare_spec_from_options(bad),
+                ::testing::ExitedWithCode(2),
+                std::string("--") + option + ": invalid value");
+  }
+  Options zero = opts;
+  zero.set("trials", "0");
+  EXPECT_EXIT(acic::bench::compare_spec_from_options(zero),
+              ::testing::ExitedWithCode(2), "--trials: must be >= 1");
+}
+
+TEST(BenchOptions, RegressionCheckNeedsAnEntryOnBothSides) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A pre_pr record before the top-level results must never be matched,
+  // and threads 1 must not match a threads-16 entry.
+  const std::string baseline =
+      "{\"pre_pr\": {\"results\": [\n"
+      "  {\"solver\": \"acic\", \"scale\": 10, \"threads\": 1, "
+      "\"events_per_sec\": 1.0}]},\n"
+      "\"results\": [\n"
+      "  {\"solver\": \"acic\", \"scale\": 10, \"threads\": 16, "
+      "\"events_per_sec\": 500.0},\n"
+      "  {\"solver\": \"acic\", \"scale\": 10, \"threads\": 1, "
+      "\"events_per_sec\": 1000.0}\n]}\n";
+  EXPECT_EQ(acic::bench::find_events_per_sec(baseline, "acic", 10, 1),
+            1000.0);
+  EXPECT_EQ(acic::bench::find_events_per_sec(baseline, "acic", 10, 16),
+            500.0);
+  EXPECT_FALSE(acic::bench::find_events_per_sec(baseline, "acic", 10, 4));
+  EXPECT_FALSE(acic::bench::find_events_per_sec(baseline, "nosuch", 10, 1));
+
+  const std::string current =
+      "{\"results\": [\n"
+      "  {\"solver\": \"acic\", \"scale\": 10, \"threads\": 1, "
+      "\"events_per_sec\": 800.0}\n]}\n";
+  EXPECT_EQ(acic::bench::check_events_per_sec(baseline, "base.json", current,
+                                              "acic", 10, 1, 0.25),
+            0);
+  EXPECT_EQ(acic::bench::check_events_per_sec(baseline, "base.json", current,
+                                              "acic", 10, 1, 0.1),
+            3);
+  // Nothing to compare is a failure that names the missing key.
+  EXPECT_EXIT(std::exit(acic::bench::check_events_per_sec(
+                  baseline, "base.json", current, "nosuch", 10, 1, 0.25)),
+              ::testing::ExitedWithCode(2),
+              "base.json has no entry for solver=nosuch scale=10 threads=1");
+  EXPECT_EXIT(std::exit(acic::bench::check_events_per_sec(
+                  baseline, "base.json", current, "acic", 10, 16, 0.25)),
+              ::testing::ExitedWithCode(2),
+              "this run has no entry for solver=acic scale=10 threads=16");
 }
 
 TEST(Stats, MeanAndStddev) {
