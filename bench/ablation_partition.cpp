@@ -44,6 +44,8 @@ double run_variant(const Variant& variant, const graph::Csr& csr,
 
 int main(int argc, char** argv) {
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts, {"scale", "nodes", "trials", "csv"}, "ablation_partition");
   const auto scale =
       static_cast<std::uint32_t>(opts.get_int("scale", 13));
   const auto nodes =

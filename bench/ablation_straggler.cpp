@@ -21,6 +21,8 @@
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts, {"scale", "nodes", "trials", "csv"}, "ablation_straggler");
   const auto scale =
       static_cast<std::uint32_t>(opts.get_int("scale", 13));
   const auto nodes =

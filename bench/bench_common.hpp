@@ -180,11 +180,16 @@ inline void reject_unknown_options(
   std::exit(2);
 }
 
-/// The fig7/fig8/fig9 comparison options.  Numbers are parsed strictly
-/// (option_uint): a non-numeric value or `--trials 0` exits 2 naming
-/// the option instead of running zero trials.
+/// The fig7/fig8/fig9 comparison options (plus `--csv`, read by
+/// write_csv).  Numbers are parsed strictly (option_uint): a non-numeric
+/// value or `--trials 0` exits 2 naming the option instead of running
+/// zero trials, and so does any other key (`--trails 1`).
 inline stats::CompareSpec compare_spec_from_options(
-    const util::Options& opts) {
+    const util::Options& opts, const char* program) {
+  reject_unknown_options(opts,
+                         {"scale", "edge-factor", "trials", "seed", "nodes",
+                          "buffer", "full-nodes", "csv"},
+                         program);
   stats::CompareSpec spec;
   spec.scale =
       static_cast<std::uint32_t>(option_uint(opts, "scale", spec.scale));
@@ -248,8 +253,7 @@ struct FieldDiff {
   }
   std::fprintf(stderr,
                "bench: host-side diagnostic fields excluded from this "
-               "comparison: threads_used, windows, window_merges, "
-               "shard_steals\n");
+               "comparison: threads_used, windows, window_merges\n");
   std::exit(4);
 }
 

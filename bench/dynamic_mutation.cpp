@@ -116,6 +116,11 @@ ArmResult run_arm(const char* name, std::uint32_t scale,
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts,
+      {"smoke", "scale", "batches", "seed", "batch-sizes", "rates", "qps",
+       "queries", "csv"},
+      "dynamic_mutation");
   const bool smoke = opts.get_bool("smoke", false);
 
   const auto scale = static_cast<std::uint32_t>(

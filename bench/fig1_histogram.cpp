@@ -18,6 +18,10 @@
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts,
+      {"scale", "nodes", "seed", "p-tram", "evolution", "csv"},
+      "fig1_histogram");
 
   stats::ExperimentSpec spec;
   spec.graph = stats::GraphKind::kRmat;

@@ -83,6 +83,10 @@ WorkResult run_window(std::uint32_t nodes, SimTime window_us,
 
 int main(int argc, char** argv) {
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts,
+      {"window", "method-us", "width", "interval", "csv"},
+      "fig3_reduction_overhead");
   const double window_s = opts.get_double("window", 0.25);  // paper: 5s
   const SimTime window_us = window_s * 1e6;
   const SimTime method_us = opts.get_double("method-us", 10.0);

@@ -14,6 +14,8 @@
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts, {"scale", "nodes", "trials", "csv"}, "fig4_ptram_sweep");
 
   stats::ExperimentSpec spec;
   spec.graph = stats::GraphKind::kRandom;

@@ -15,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
-  const stats::CompareSpec spec = bench::compare_spec_from_options(opts);
+  const stats::CompareSpec spec =
+      bench::compare_spec_from_options(opts, "fig7_exec_time");
 
   std::printf("Figure 7: ACIC vs RIKEN delta-stepping execution time\n");
   bench::print_spec(spec);

@@ -12,7 +12,8 @@
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
-  const stats::CompareSpec spec = bench::compare_spec_from_options(opts);
+  const stats::CompareSpec spec =
+      bench::compare_spec_from_options(opts, "fig8_teps");
 
   std::printf("Figure 8: ACIC vs RIKEN delta-stepping TEPS\n");
   bench::print_spec(spec);

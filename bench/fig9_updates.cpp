@@ -12,7 +12,8 @@
 int main(int argc, char** argv) {
   using namespace acic;
   const util::Options opts(argc, argv);
-  const stats::CompareSpec spec = bench::compare_spec_from_options(opts);
+  const stats::CompareSpec spec =
+      bench::compare_spec_from_options(opts, "fig9_updates");
 
   std::printf("Figure 9: ACIC vs RIKEN delta-stepping update counts\n");
   bench::print_spec(spec);

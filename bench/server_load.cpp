@@ -151,6 +151,12 @@ std::uint64_t verify_cell(const server::QueryService& service,
 
 int main(int argc, char** argv) {
   const util::Options opts(argc, argv);
+  bench::reject_unknown_options(
+      opts,
+      {"smoke", "scale", "mutation-rate", "mutation-batch", "queries-per-cell",
+       "inflight", "batch", "landmarks", "cache", "p2p", "verify-full-max",
+       "qps", "trace-json", "obs-csv", "trace-spans", "csv"},
+      "server_load");
   const bool smoke = opts.has("smoke");
 
   graph::GenParams params;

@@ -37,8 +37,8 @@
 // and the harness exits 4 (naming the diverging field and both values)
 // if any thread count or repeat trial diverges.  Host-side engine
 // diagnostics (effective thread count after the min(threads, nodes)
-// clamp, conservative window count, merge count, steals) ride along
-// per entry.
+// clamp, conservative window count, merge count) ride along per
+// entry.
 //
 // COST gate (after "COST of Graph Processing Using Actors"): every
 // config additionally reports `speedup_vs_sequential` against the tuned
@@ -103,11 +103,10 @@ struct Sample {
   std::uint64_t cycles = 0;
   std::uint64_t dist_checksum = 0;
   /// Host-side engine diagnostics — reported, never diffed: the thread
-  /// clamp and steal schedule legitimately vary them.
+  /// clamp legitimately varies them.
   unsigned threads_used = 1;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
-  std::uint64_t steals = 0;
   /// Distances in *original* labels (inverse-permuted when the run used
   /// a reordered graph) — the cross-mode equality reference.
   std::vector<graph::Dist> dist;
@@ -224,7 +223,6 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
     now.threads_used = machine.last_threads_used();
     now.windows = machine.total_windows();
     now.window_merges = machine.total_window_merges();
-    now.steals = machine.total_shard_steals();
     std::vector<graph::Dist> dist =
         remap != nullptr ? remap->unmap_distances(run.sssp.dist)
                          : std::move(run.sssp.dist);
@@ -568,7 +566,6 @@ int main(int argc, char** argv) {
             reference.threads_used = s.threads_used;
             reference.windows = s.windows;
             reference.window_merges = s.window_merges;
-            reference.steals = s.steals;
           }
           const Sample& cur = reference;
           if (threads == 1) wall_1thread = cur.wall_best_s;
@@ -625,7 +622,6 @@ int main(int argc, char** argv) {
               "\"tasks_per_sec\": %.1f, \"speedup_vs_1thread\": %s, "
               "\"speedup_vs_sequential\": %.3f, "
               "\"windows\": %llu, \"window_merges\": %llu, "
-              "\"steals\": %llu, "
               "\"sim_time_us\": %.6f, "
               "\"updates_created\": %llu, \"cycles\": %llu, "
               "\"messages_inter_node\": %llu, "
@@ -647,7 +643,6 @@ int main(int argc, char** argv) {
               tasks_per_sec, speedup_json, vs_seq,
               static_cast<unsigned long long>(cur.windows),
               static_cast<unsigned long long>(cur.window_merges),
-              static_cast<unsigned long long>(cur.steals),
               cur.sim_time_us,
               static_cast<unsigned long long>(cur.updates_created),
               static_cast<unsigned long long>(cur.cycles),

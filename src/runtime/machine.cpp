@@ -59,10 +59,10 @@ class SpinBarrier {
 }  // namespace
 
 /// A cross-node arrival buffered in its sending shard's outbox until the
-/// window barrier.  Carries the seq the sender already assigned, so the
-/// receiving heap's comparator alone decides the merge order —
-/// (timestamp, src node, per-node sequence), independent of which host
-/// thread drained which mailbox first.
+/// receiving shard's owner merges it after the window barrier.  Carries
+/// the seq the sender already assigned, so the receiving heap's
+/// comparator alone decides the merge order — (timestamp, src node,
+/// per-node sequence), independent of the order the boxes are drained.
 struct Machine::Mail {
   SimTime time;
   std::uint64_t seq;
@@ -73,19 +73,25 @@ struct Machine::Mail {
 
 /// One simulated node's slice of the event loop during a parallel run:
 /// its own 4-ary heap, slot store, outgoing mailboxes and stat deltas.
-/// Within a window a shard is touched only by the host thread that
-/// claimed it (home thread or stealer — exactly one per window), except
-/// for `outbox[d]`, which the thread merging shard d drains strictly
-/// after the window barrier.
+/// A shard is touched only by its owner thread for the whole run, except
+/// for `outbox[p][d]`, which shard d's owner drains in the window after
+/// the one that filled it, and `sent_mail`/`mail_min`, which the window
+/// barrier's completion step folds and resets.
 struct alignas(64) Machine::Shard {
   std::uint32_t node = 0;
   util::DaryHeap<Event, EventOrder> heap;
   std::vector<Task> slots;
   std::vector<std::uint32_t> free_slots;
-  /// outbox[d]: arrivals destined to node d, merged at the barrier.
-  /// Boxes keep their capacity across windows and runs (ParallelState
-  /// persists them), so steady-state merges never reallocate.
-  std::vector<std::vector<Mail>> outbox;
+  /// outbox[p][d]: arrivals destined to node d, double-buffered by window
+  /// parity — this window's sends go to outbox[out] while d's owner
+  /// drains outbox[out ^ 1], the previous window's mail.  Boxes keep
+  /// their capacity across windows and runs (ParallelState persists
+  /// them), so steady-state merges never reallocate.
+  std::vector<std::vector<Mail>> outbox[2];
+  unsigned out = 0;
+  /// mail_min[d]: earliest arrival buffered for node d this window, which
+  /// the barrier folds into d's published minimum.
+  std::vector<SimTime> mail_min;
   /// Max event time processed on this shard — the shard-local mirror of
   /// current_time_ (identical inside a task: the executing PE's clock
   /// is always >= the current event's time on both paths).
@@ -103,8 +109,7 @@ struct alignas(64) Machine::Shard {
   /// Inter-node latency, copied per run so the send hot path never
   /// reaches back into the Machine.
   SimTime lookahead = 0.0;
-  /// Set when this shard buffered cross-node mail in the current
-  /// window; ORed into the shared merge flag after the shard drains.
+  /// Set when this shard buffered cross-node mail in the current window.
   bool sent_mail = false;
   RunStats stats;
   std::int64_t ready_delta = 0;  // folded into ready_tasks_ after the run
@@ -317,9 +322,10 @@ void Machine::push_arrival(SimTime time, PeId pe, Task task,
       ACIC_ASSERT_MSG(time >= sh->cross_floor,
                       "cross-node event scheduled inside the conservative "
                       "window (use a send, or run with --threads 1)");
-      sh->outbox[dest].push_back(
+      sh->outbox[sh->out][dest].push_back(
           Mail{time, seq, pe, charge_recv, std::move(task)});
       sh->sent_mail = true;
+      if (time < sh->mail_min[dest]) sh->mail_min[dest] = time;
       // Feedback bound: a reaction to this mail cannot arrive here
       // before its delivery plus one more inter-node hop.  Always at or
       // ahead of the execution point (arrival >= event time +
@@ -500,45 +506,57 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     shards.resize(nodes);
     for (std::uint32_t n = 0; n < nodes; ++n) {
       shards[n].node = n;
-      shards[n].outbox.resize(nodes);
+      shards[n].outbox[0].resize(nodes);
+      shards[n].outbox[1].resize(nodes);
+      shards[n].mail_min.assign(nodes, kNoTimeLimit);
     }
   }
   for (std::uint32_t n = 0; n < nodes; ++n) {
     Shard& sh = shards[n];
     sh.now = current_time_;
     sh.lookahead = lookahead;
-    sh.sent_mail = false;
     sh.stats = RunStats{};
     sh.ready_delta = 0;
   }
-  // Redistribute the global heap into the per-node shards, migrating
-  // parked tasks into each shard's own slot store.  Insertion order is
-  // irrelevant: the comparator is a total order, so every heap pops the
-  // same sequence regardless of how it was filled.
+  // Parked tasks (pending arrivals, and tasks left queued on a PE by a
+  // time limit) move to their node's shard store for the run and back
+  // after it; each helper returns the task's new queued-task word.
+  auto park_in_shard = [this](Shard& sh, std::uint32_t word) {
+    Task task = release_slot(word & kSlotMask);
+    tls_shard_ = &sh;
+    const std::uint32_t slot = acquire_slot(std::move(task));
+    tls_shard_ = nullptr;
+    return (word & kRecvBit) | slot;
+  };
+  auto park_global = [this](Shard& sh, std::uint32_t word) {
+    return (word & kRecvBit) |
+           acquire_slot(std::move(sh.slots[word & kSlotMask]));
+  };
+  for (Pe& pe : pes_) {
+    Shard& sh = shards[entity_node_[pe.id_]];
+    pe.fifo_.rewrite(
+        [&](std::uint32_t word) { return park_in_shard(sh, word); });
+  }
+  // Redistribute the global heap into the per-node shards.  Insertion
+  // order is irrelevant: the comparator is a total order, so every heap
+  // pops the same sequence regardless of how it was filled.
   while (!queue_.empty()) {
     const Event e = queue_.top();
     queue_.pop();
     Shard& sh = shards[entity_node_[e.pe]];
-    if (e.is_exec()) {
-      sh.heap.push(e);
-      continue;
-    }
-    Task task = release_slot(e.slot());
-    tls_shard_ = &sh;
-    const std::uint32_t slot = acquire_slot(std::move(task));
-    tls_shard_ = nullptr;
-    sh.heap.push(Event{e.time, e.seq, e.pe, (e.packed & kRecvBit) | slot});
+    sh.heap.push(e.is_exec()
+                     ? e
+                     : Event{e.time, e.seq, e.pe, park_in_shard(sh, e.packed)});
   }
 
   // --- Shared window-scheduling state -------------------------------
-  // Per-shard heap minima at the window boundary, written by the thread
-  // that merged/scanned the shard in phase A, reduced once by the
-  // barrier's completion step.
+  // Per-shard heap minima at the window boundary, published by the
+  // owner, reduced once by the barrier's completion step.
   struct alignas(64) PaddedTime {
     SimTime v = kNoTimeLimit;
   };
   std::vector<PaddedTime> shard_min(nodes);
-  // The window plan every thread reads after the reduction barrier.
+  // The window plan every thread reads after the barrier.
   struct Plan {
     SimTime min1 = kNoTimeLimit;  // global earliest event time
     SimTime min2 = kNoTimeLimit;  // earliest on any shard != node1
@@ -546,27 +564,30 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     bool run = false;             // execute a window this round?
     bool merge = false;           // did the previous window buffer mail?
     bool hit_limit = false;
+    unsigned out = 0;             // outbox parity the next window fills
   } plan;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
-  // Phase-A claim cursor (merge + minima scan, one claimant per shard).
-  std::atomic<std::uint32_t> scan_cursor{0};
-  // Phase-B claim cursors: thread t owns shards [range[t], range[t+1]);
-  // a thread drains its own range first, then steals from the others.
-  struct alignas(64) Cursor {
-    std::atomic<std::uint32_t> pos{0};
-  };
-  std::vector<Cursor> claim(nthreads);
-  std::vector<std::uint32_t> range(nthreads + 1);
-  for (unsigned t = 0; t <= nthreads; ++t) range[t] = t * nodes / nthreads;
-  std::atomic<bool> mail_flag{false};
-  std::vector<std::uint64_t> steal_counts(nthreads, 0);
 
-  // Runs on the last thread into the reduction barrier: one O(nodes)
-  // scan decides the window for everyone (min1/min2 with the arg-min
-  // shard, ties to the lowest node id — deterministic, though results
-  // never depend on it) and re-arms the phase-B claim cursors.
+  // Runs on the last thread into the barrier.  Folding the earliest
+  // arrival each shard mailed last window into the published minima
+  // yields exactly the heap minima the owners see once they merge that
+  // mail.  One O(nodes) scan then decides the window for everyone
+  // (min1/min2 with the arg-min shard, ties to the lowest node id —
+  // deterministic, though results never depend on it).
   SpinBarrier window_barrier(nthreads, [&] {
+    plan.merge = false;
+    for (Shard& src : shards) {
+      if (!src.sent_mail) continue;
+      src.sent_mail = false;
+      plan.merge = true;
+      for (std::uint32_t d = 0; d < nodes; ++d) {
+        shard_min[d].v = std::min(shard_min[d].v, src.mail_min[d]);
+        src.mail_min[d] = kNoTimeLimit;
+      }
+    }
+    if (plan.merge) ++window_merges;
+    plan.out ^= 1;
     SimTime min1 = kNoTimeLimit;
     SimTime min2 = kNoTimeLimit;
     std::uint32_t node1 = 0;
@@ -586,35 +607,30 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     plan.run = min1 != kNoTimeLimit && min1 <= time_limit;
     if (min1 != kNoTimeLimit && min1 > time_limit) plan.hit_limit = true;
     if (plan.run) ++windows;
-    for (unsigned t = 0; t < nthreads; ++t) {
-      claim[t].pos.store(range[t], std::memory_order_relaxed);
-    }
-  });
-  // Runs on the last thread out of a window: capture whether any shard
-  // buffered cross-node mail (windows without any skip the merge scan
-  // entirely) and re-arm the phase-A cursor.
-  SpinBarrier drain_barrier(nthreads, [&] {
-    plan.merge = mail_flag.exchange(false, std::memory_order_relaxed);
-    if (plan.merge) ++window_merges;
-    scan_cursor.store(0, std::memory_order_relaxed);
   });
 
+  // Thread tid owns shards [lo, hi) for the whole run, so a shard's
+  // heap, slot store and PE state stay in one core's caches.
   auto worker = [&](unsigned tid) {
-    std::uint64_t steals = 0;
+    const std::uint32_t lo = tid * nodes / nthreads;
+    const std::uint32_t hi = (tid + 1) * nodes / nthreads;
     for (;;) {
-      // Phase A: merge the previous window's mail (skipped when none
-      // was sent) and publish each shard's heap minimum.  Shards are
-      // claimed through a shared cursor; the composite seq keys make
-      // the merge order automatic regardless of who drains what.
-      for (;;) {
-        const std::uint32_t d =
-            scan_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (d >= nodes) break;
-        Shard& dst = shards[d];
-        if (plan.merge) {
+      for (std::uint32_t s = lo; s < hi; ++s) {
+        const auto& heap = shards[s].heap;
+        shard_min[s].v = heap.empty() ? kNoTimeLimit : heap.top().time;
+      }
+      window_barrier.arrive_and_wait();
+      // Every thread reads the same plan, so all merge and break
+      // together.  Merging before the break lets mail buffered when the
+      // run stops at its time limit reach the heaps the final fold
+      // drains.  The composite seq keys make the merge order irrelevant.
+      const unsigned out = plan.out;
+      if (plan.merge) {
+        for (std::uint32_t d = lo; d < hi; ++d) {
+          Shard& dst = shards[d];
           tls_shard_ = &dst;
-          for (std::uint32_t src = 0; src < nodes; ++src) {
-            std::vector<Mail>& box = shards[src].outbox[d];
+          for (Shard& src : shards) {
+            std::vector<Mail>& box = src.outbox[out ^ 1][d];
             for (Mail& mail : box) {
               const std::uint32_t slot = acquire_slot(std::move(mail.task));
               dst.heap.push(Event{mail.time, mail.seq, mail.pe,
@@ -623,67 +639,41 @@ RunStats Machine::run_parallel(SimTime time_limit) {
             }
             box.clear();  // keeps capacity: boxes never regrow in steady state
           }
-          tls_shard_ = nullptr;
         }
-        shard_min[d].v =
-            dst.heap.empty() ? kNoTimeLimit : dst.heap.top().time;
+        tls_shard_ = nullptr;
       }
-      window_barrier.arrive_and_wait();
-      // Every thread reads the same plan, so all break together;
-      // mailboxes are empty here (drained in phase A).
       if (!plan.run) break;
 
-      // Phase B: claim and execute shards — own range first, then steal
-      // from whichever thread still has unclaimed shards.  Ownership
-      // migration cannot change results: a shard's event order is fully
-      // determined by its heap's (time, seq) keys, and exactly one
-      // thread runs a given shard per window.
-      for (unsigned v = 0; v < nthreads; ++v) {
-        const unsigned owner = (tid + v) % nthreads;
-        const std::uint32_t owner_hi = range[owner + 1];
-        for (;;) {
-          if (claim[owner].pos.load(std::memory_order_relaxed) >= owner_hi) {
-            break;
-          }
-          const std::uint32_t s =
-              claim[owner].pos.fetch_add(1, std::memory_order_relaxed);
-          if (s >= owner_hi) break;
-          Shard& sh = shards[s];
-          if (sh.heap.empty()) continue;
-          if (owner != tid) ++steals;
-          // Shard d stops at (min over OTHER shards) + lookahead: for
-          // everyone but the arg-min shard that is min1 + lookahead; the
-          // arg-min shard runs on to min2 + lookahead.  Safe because no
-          // other shard can inject an event below its own minimum +
-          // lookahead, and cascades through this shard's own sends are
-          // cut off by the feedback shrink in push_arrival.
-          sh.window_limit = s == plan.node1 ? plan.min2 + lookahead
-                                            : plan.min1 + lookahead;
-          sh.cross_floor = shard_min[s].v + lookahead;
-          tls_shard_ = &sh;
-          while (!sh.heap.empty()) {
-            const Event& top = sh.heap.top();
-            if (top.time >= sh.window_limit || top.time > time_limit) break;
-            const Event e = top;
-            sh.heap.pop();
-            ++sh.stats.events_processed;
-            sh.now = std::max(sh.now, e.time);
-            if (e.is_exec()) {
-              handle_exec(e);
-            } else {
-              handle_arrival(e);
-            }
-          }
-          tls_shard_ = nullptr;
-          if (sh.sent_mail) {
-            sh.sent_mail = false;
-            mail_flag.store(true, std::memory_order_relaxed);
+      for (std::uint32_t s = lo; s < hi; ++s) {
+        Shard& sh = shards[s];
+        if (sh.heap.empty()) continue;
+        // Shard s stops at (min over OTHER shards) + lookahead: for
+        // everyone but the arg-min shard that is min1 + lookahead; the
+        // arg-min shard runs on to min2 + lookahead.  Safe because no
+        // other shard can inject an event below its own minimum +
+        // lookahead, and cascades through this shard's own sends are
+        // cut off by the feedback shrink in push_arrival.
+        sh.window_limit = s == plan.node1 ? plan.min2 + lookahead
+                                          : plan.min1 + lookahead;
+        sh.cross_floor = shard_min[s].v + lookahead;
+        sh.out = out;
+        tls_shard_ = &sh;
+        while (!sh.heap.empty()) {
+          const Event& top = sh.heap.top();
+          if (top.time >= sh.window_limit || top.time > time_limit) break;
+          const Event e = top;
+          sh.heap.pop();
+          ++sh.stats.events_processed;
+          sh.now = std::max(sh.now, e.time);
+          if (e.is_exec()) {
+            handle_exec(e);
+          } else {
+            handle_arrival(e);
           }
         }
+        tls_shard_ = nullptr;
       }
-      drain_barrier.arrive_and_wait();
     }
-    steal_counts[tid] = steals;
   };
 
   std::vector<std::thread> pool;
@@ -701,12 +691,13 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   stats.threads_used = nthreads;
   stats.windows = windows;
   stats.window_merges = window_merges;
-  for (unsigned t = 0; t < nthreads; ++t) {
-    stats.shard_steals += steal_counts[t];
-  }
   windows_ += windows;
   window_merges_ += window_merges;
-  shard_steals_ += stats.shard_steals;
+  for (Pe& pe : pes_) {
+    Shard& sh = shards[entity_node_[pe.id_]];
+    pe.fifo_.rewrite(
+        [&](std::uint32_t word) { return park_global(sh, word); });
+  }
   for (Shard& sh : shards) {
     stats.tasks_executed += sh.stats.tasks_executed;
     stats.idle_polls += sh.stats.idle_polls;
@@ -722,17 +713,12 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     while (!sh.heap.empty()) {
       const Event e = sh.heap.top();
       sh.heap.pop();
-      if (e.is_exec()) {
-        queue_.push(e);
-        continue;
-      }
-      Task task = std::move(sh.slots[e.slot()]);
-      const std::uint32_t slot = acquire_slot(std::move(task));
-      queue_.push(
-          Event{e.time, e.seq, e.pe, (e.packed & kRecvBit) | slot});
+      queue_.push(e.is_exec()
+                      ? e
+                      : Event{e.time, e.seq, e.pe, park_global(sh, e.packed)});
     }
-    // Every parked task has been moved out (heap drained); dropping the
-    // bookkeeping keeps the capacity for the next run.
+    // Every parked task has been moved out (run queues and heap);
+    // dropping the bookkeeping keeps the capacity for the next run.
     sh.slots.clear();
     sh.free_slots.clear();
   }

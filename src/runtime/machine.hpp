@@ -42,9 +42,11 @@
 // conservative time windows: no message crosses nodes faster than the
 // inter-node wire latency, so within a window each shard can execute
 // its own node's events independently.  Cross-node sends buffer into
-// per-(src,dst) mailboxes merged at the window barrier; because events
-// order by the composite key above, the merged interleaving is
-// bit-identical to the serial engine's at any thread count.
+// per-(src,dst) mailboxes, double-buffered by window parity; the
+// receiving shard's owner merges them after the one barrier per window.
+// Because events order by the composite key above, the merged
+// interleaving is bit-identical to the serial engine's at any thread
+// count.
 //
 // Windows widen per shard: shard d may run to (earliest event time on
 // any OTHER shard) + latency_inter_node_us, shrunk on the fly to
@@ -52,9 +54,8 @@
 // — both bounds are provably conservative (see docs/performance.md for
 // the argument), so sparse cross-node traffic yields windows of
 // hundreds of events instead of one latency sliver.
-// Shards are claimed by worker threads through per-thread cursors with
-// work stealing; ownership migration cannot perturb results because a
-// shard's event order is fixed by the (time, node, seq) keys alone.
+// Worker thread t owns a fixed contiguous range of shards for the whole
+// run, so a shard's heap and PE state never leave that thread's caches.
 // Runs fall back to the serial loop when a registry or span hook is
 // attached (observation streams are inherently ordered), on single-node
 // topologies, or when the network model has no inter-node lookahead.
@@ -105,8 +106,7 @@ inline constexpr SimTime kNoTimeLimit =
 /// The first block is simulated-side and bit-identical across thread
 /// counts.  The fields after `hit_time_limit` are host-side engine
 /// diagnostics: they describe how the host executed the schedule, not
-/// the schedule itself, and legitimately vary with set_threads (steals
-/// additionally vary run to run).
+/// the schedule itself, and legitimately vary with set_threads.
 struct RunStats {
   SimTime end_time_us = 0.0;
   std::uint64_t tasks_executed = 0;
@@ -127,8 +127,6 @@ struct RunStats {
   /// Windows whose barrier had cross-node mail to merge; the rest
   /// skipped the merge phase entirely.
   std::uint64_t window_merges = 0;
-  /// Shards executed by a thread other than their home thread.
-  std::uint64_t shard_steals = 0;
 };
 
 /// Per-PE execution context handed to every task and idle handler.
@@ -183,6 +181,14 @@ class Pe {
       head_ = (head_ + 1) & (buf_.size() - 1);
       --count_;
       return v;
+    }
+    /// Replaces every queued word v by fn(v), front to back.
+    template <typename Fn>
+    void rewrite(Fn&& fn) {
+      for (std::size_t i = 0; i < count_; ++i) {
+        std::uint32_t& v = buf_[(head_ + i) & (buf_.size() - 1)];
+        v = fn(v);
+      }
     }
 
    private:
@@ -284,10 +290,13 @@ class Machine {
 
   /// Host-side engine diagnostics accumulated across run() calls (the
   /// per-run values live in RunStats).  Windows/merges are deterministic
-  /// for a given (schedule, threads); steals depend on host timing.
+  /// for a given (schedule, threads).
   std::uint64_t total_windows() const { return windows_; }
   std::uint64_t total_window_merges() const { return window_merges_; }
-  std::uint64_t total_shard_steals() const { return shard_steals_; }
+  /// Always 0: each shard is pinned to one owner thread, so no shard
+  /// migrates.  Kept only for the benchmark harness, which still reports
+  /// the count.
+  std::uint64_t total_shard_steals() const { return 0; }
   /// Effective worker count of the most recent run() (clamped to the
   /// node count; 1 for serial runs).
   unsigned last_threads_used() const { return last_threads_used_; }
@@ -437,7 +446,6 @@ class Machine {
   std::uint64_t events_processed_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t window_merges_ = 0;
-  std::uint64_t shard_steals_ = 0;
   unsigned last_threads_used_ = 1;
   std::uint64_t ready_tasks_ = 0;  // tasks waiting in PE fifos
   RunStats* active_stats_ = nullptr;

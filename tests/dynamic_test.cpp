@@ -502,7 +502,9 @@ TEST(MutationWorkload, DeterministicAndMonotone) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].batch.size(), 5u);
     EXPECT_EQ(a[i].apply_us, b[i].apply_us);
-    if (i > 0) EXPECT_GE(a[i].apply_us, a[i - 1].apply_us);
+    if (i > 0) {
+      EXPECT_GE(a[i].apply_us, a[i - 1].apply_us);
+    }
     for (std::size_t m = 0; m < a[i].batch.size(); ++m) {
       EXPECT_EQ(a[i].batch[m].kind, b[i].batch[m].kind);
       EXPECT_EQ(a[i].batch[m].src, b[i].batch[m].src);

@@ -5,12 +5,14 @@
 // break timestamp ties exactly like the serial event queue.  The
 // ParallelWindow suite attacks the window-widening rule directly: a
 // cross-node send landing exactly on the widened boundary, sparse
-// traffic that must run in a single window, a steal-heavy skewed
-// topology, and hand-built mail schedules at the window's edges.  The
-// graph builders carry the same contract for their thread parameter.
+// traffic that must run in a single window, more nodes than threads,
+// time-limited runs resumed slice by slice, and hand-built mail
+// schedules at the window's edges.  The graph builders carry the same
+// contract for their thread parameter.
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -18,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/acic.hpp"
 #include "src/graph/csr.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/partition.hpp"
 #include "src/runtime/machine.hpp"
 #include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
@@ -40,7 +44,6 @@ using acic::runtime::Topology;
 /// configuration (never part of the bit-identical contract).
 struct Diag {
   std::uint64_t windows = 0;
-  std::uint64_t steals = 0;
   unsigned threads_used = 0;
 };
 
@@ -89,7 +92,6 @@ Observed run_solver_observed(const std::string& solver,
   }
   if (diag != nullptr) {
     diag->windows = machine.total_windows();
-    diag->steals = machine.total_shard_steals();
     diag->threads_used = machine.last_threads_used();
   }
   return o;
@@ -246,12 +248,12 @@ TEST(ParallelWindow, AdaptiveStrictlyReducesWindowsOnSparseTraffic) {
   EXPECT_EQ(stats.window_merges, 0u);
 }
 
-// Steal-heavy shape: many more nodes than threads with a skewed R-MAT
-// degree distribution, so per-shard work within a window is uneven and
-// threads whose home ranges drain early must steal.  Results must stay
-// bit-identical to serial, and the clamp must report the requested
-// thread count (12 nodes >= 4 threads).
-TEST(ParallelWindow, StealHeavySkewedTopologyMatchesSerial) {
+// More nodes than threads with a skewed R-MAT degree distribution: each
+// of the 4 threads owns 3 shards for the whole run, and per-shard work
+// within a window is uneven.  Results must stay bit-identical to
+// serial, and the clamp must report the requested thread count (12
+// nodes >= 4 threads).
+TEST(ParallelWindow, MoreNodesThanThreadsMatchesSerial) {
   acic::stats::ExperimentSpec spec;
   spec.graph = acic::stats::GraphKind::kRmat;
   spec.scale = 9;
@@ -264,6 +266,74 @@ TEST(ParallelWindow, StealHeavySkewedTopologyMatchesSerial) {
   const Observed parallel = run_solver_observed("acic", spec, csr, 4, &diag);
   expect_identical(serial, parallel, "threads=4");
   EXPECT_EQ(diag.threads_used, 4u);
+}
+
+/// Per-slice record of a run driven as a sequence of run(limit) calls.
+struct Slice {
+  double end_time_us = 0.0;
+  bool hit_time_limit = false;
+  std::uint64_t messages = 0;
+  bool operator==(const Slice&) const = default;
+};
+
+void PrintTo(const Slice& s, std::ostream* os) {
+  *os << "{end=" << s.end_time_us << " limit_hit=" << s.hit_time_limit
+      << " messages=" << s.messages << "}";
+}
+
+/// Runs acic on `csr` as run(limit) slices, one per entry of `limits`,
+/// then to completion; returns every slice's stats and the distances.
+std::pair<std::vector<Slice>, std::vector<acic::graph::Dist>>
+run_acic_sliced(const acic::stats::ExperimentSpec& spec, const Csr& csr,
+                const std::vector<double>& limits, unsigned threads) {
+  Machine machine(spec.topology());
+  machine.set_threads(threads);
+  const acic::graph::Partition1D partition =
+      acic::graph::Partition1D::block(csr.num_vertices(), machine.num_pes());
+  acic::core::AcicEngine engine(machine, csr, partition, spec.source, {});
+  std::vector<Slice> slices;
+  auto run_slice = [&](double limit) {
+    const RunStats stats = machine.run(limit);
+    slices.push_back(
+        Slice{stats.end_time_us, stats.hit_time_limit, stats.messages_sent});
+  };
+  for (const double limit : limits) run_slice(limit);
+  run_slice(acic::runtime::kNoTimeLimit);
+  EXPECT_TRUE(engine.complete());
+  return {slices, engine.collect().sssp.dist};
+}
+
+// A run stopped at its time limit must resume exactly where the serial
+// loop would.  The limits split the solve into slices much shorter than
+// its busy phase, so cross-node mail sent in the last window before a
+// limit is still buffered when that slice stops; it must reach the
+// global queue with the rest of the unprocessed events.  Tasks already
+// queued on a PE when a slice stops must run in the next slice, on
+// either engine.
+TEST(ParallelWindow, TimeLimitedRunsResumeLikeSerial) {
+  acic::stats::ExperimentSpec spec;
+  spec.graph = acic::stats::GraphKind::kRmat;
+  spec.scale = 9;
+  spec.edge_factor = 8;
+  spec.seed = 3;
+  spec.nodes = 4;
+  const Csr csr = acic::stats::build_graph(spec);
+  const double total = run_acic_sliced(spec, csr, {}, 1).first[0].end_time_us;
+  ASSERT_GT(total, 0.0);
+  std::vector<double> limits;
+  for (int k = 1; k < 24; ++k) limits.push_back(total * k / 24.0 + 0.37);
+  const auto serial = run_acic_sliced(spec, csr, limits, 1);
+  ASSERT_EQ(serial.first.size(), limits.size() + 1);
+  for (std::size_t i = 0; i < limits.size(); ++i) {
+    EXPECT_TRUE(serial.first[i].hit_time_limit) << "slice " << i;
+  }
+  EXPECT_FALSE(serial.first.back().hit_time_limit);
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    const auto parallel = run_acic_sliced(spec, csr, limits, threads);
+    EXPECT_EQ(parallel.first, serial.first);
+    EXPECT_EQ(parallel.second, serial.second);
+  }
 }
 
 // The engine clamps nthreads to the node count; RunStats must report

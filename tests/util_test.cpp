@@ -206,7 +206,7 @@ TEST(BenchOptions, CompareSpecParsesStrictly) {
   opts.set("seed", "18446744073709551615");
   opts.set("buffer", "512");
   const acic::stats::CompareSpec spec =
-      acic::bench::compare_spec_from_options(opts);
+      acic::bench::compare_spec_from_options(opts, "prog");
   EXPECT_EQ(spec.scale, 9u);
   EXPECT_EQ(spec.edge_factor, 4u);
   EXPECT_EQ(spec.trials, 2u);
@@ -217,14 +217,19 @@ TEST(BenchOptions, CompareSpecParsesStrictly) {
     SCOPED_TRACE(option);
     Options bad = opts;
     bad.set(option, "abc");
-    EXPECT_EXIT(acic::bench::compare_spec_from_options(bad),
+    EXPECT_EXIT(acic::bench::compare_spec_from_options(bad, "prog"),
                 ::testing::ExitedWithCode(2),
                 std::string("--") + option + ": invalid value");
   }
   Options zero = opts;
   zero.set("trials", "0");
-  EXPECT_EXIT(acic::bench::compare_spec_from_options(zero),
+  EXPECT_EXIT(acic::bench::compare_spec_from_options(zero, "prog"),
               ::testing::ExitedWithCode(2), "--trials: must be >= 1");
+  Options typo = opts;
+  typo.set("trails", "1");
+  EXPECT_EXIT(acic::bench::compare_spec_from_options(typo, "prog"),
+              ::testing::ExitedWithCode(2),
+              "prog: unknown option\\(s\\): --trails");
 }
 
 TEST(BenchOptions, RegressionCheckNeedsAnEntryOnBothSides) {
